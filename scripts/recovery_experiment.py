@@ -43,7 +43,13 @@ def main() -> None:
             L_true = np.array(truth["L"])
             a_true = np.array(truth["a"])
             d_alpha = abs(rep.recovered.alpha - truth["alpha"])
-            d_L = float(np.max(np.abs(rep.recovered.L - L_true) / np.maximum(1, np.abs(L_true))))
+            # compare in the metric-balanced frame D L D^-1, D = diag(1, ..., 1, c),
+            # where boost entries are O(gamma) at every c
+            D = np.ones(len(L_true))
+            D[-1] = c
+            Lb_true = D[:, None] * L_true / D
+            Lb = D[:, None] * rep.recovered.L / D
+            d_L = float(np.max(np.abs(Lb - Lb_true) / np.maximum(1, np.abs(Lb_true))))
             d_a = float(np.max(np.abs(rep.recovered.a - a_true) / np.maximum(1, np.abs(a_true))))
             print(f"{c:12.4g} {cfg.v / c:8.3f} {cfg.alpha:7.3f} | "
                   f"{rep.max_residual:10.2e} {d_alpha:10.2e} {d_L:10.2e} {d_a:10.2e} ok")

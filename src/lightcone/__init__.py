@@ -8,6 +8,8 @@ cone-preserving bijection, and a radar-coordinate light clock that derives
 the same boost matrix from a synchronization convention.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .minkowski import (
@@ -78,4 +80,8 @@ from .recover import (
 )
 from .generate import GenerateConfig, make_samples, permute_images
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

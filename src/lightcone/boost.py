@@ -37,6 +37,15 @@ class SignatureError(NotConformalError):
     """M^T eta M is proportional to eta but with a non-positive factor."""
 
 
+def check_velocity(v: float, c: float) -> None:
+    """Raise ValueError unless c is positive and finite and
+    |v| < c * (1 - VELOCITY_MARGIN)."""
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"invariant speed must be positive and finite, got {c}")
+    if not math.isfinite(v) or abs(v) >= c * (1.0 - VELOCITY_MARGIN):
+        raise ValueError(f"degenerate velocity: |v|={abs(v)} must be < c={c}")
+
+
 @dataclass(frozen=True)
 class BoostParams:
     """Relative frame velocity v along the x-axis, |v| strictly below c."""
@@ -45,12 +54,7 @@ class BoostParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"invariant speed must be positive and finite, got {self.c}")
-        if not np.isfinite(self.v) or abs(self.v) >= self.c * (1.0 - VELOCITY_MARGIN):
-            raise ValueError(
-                f"degenerate velocity: |v|={abs(self.v)} must be < c={self.c}"
-            )
+        check_velocity(self.v, self.c)
 
 
 @dataclass
@@ -122,13 +126,7 @@ def general_boost(p: BoostParams, alpha: float) -> np.ndarray:
     the normalized boost."""
     if alpha == 0 or not np.isfinite(alpha):
         raise ValueError(f"alpha must be nonzero and finite, got {alpha}")
-    g = gamma(p.v, p.c)
-    core = np.eye(4)
-    core[0, 0] = g
-    core[0, 3] = -p.v * g
-    core[3, 0] = -p.v * g / p.c ** 2
-    core[3, 3] = g
-    return alpha * g * core
+    return alpha * gamma(p.v, p.c) * boost_x(p).L
 
 
 def scale_constraint_check(

@@ -18,11 +18,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .boost import BoostParams, boost_x
+from .boost import BoostParams, boost_x, scale_factor
 from .generate import KINDS, GenerateConfig, make_samples
-from .minkowski import Metric, classify
+from .minkowski import Metric, classify, interval
 from .radar import RadarScenario, light_clock, rest_frame_positions, xprime
-from .boost import scale_factor
 from .recover import recover_lorentz
 from .sampleio import (
     SampleFormatError,
@@ -147,9 +146,7 @@ def _cmd_classify(args) -> int:
     n = args.n if args.n is not None else len(e1)
     m = Metric(n, args.c)
     cls = classify(e1, e2, m, args.tol)
-    from .minkowski import interval as _interval
-
-    print(f"{cls.value} (interval = {_fmt(_interval(e1, e2, m))})")
+    print(f"{cls.value} (interval = {_fmt(interval(e1, e2, m))})")
     return 0
 
 

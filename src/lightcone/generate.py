@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boost import BoostParams, boost_x
-from .minkowski import Metric
+from .minkowski import CausalClass, Metric, classify
 from .recover import AxisGrid, SampleSet
 
 KINDS = ("lorentz", "translation", "cubing", "shear", "noisy-lorentz")
@@ -184,13 +184,11 @@ def _ensure_nonnull_image_witness(
     solidly nonzero; search random null offsets if none of the marked ones
     qualifies."""
 
-    def image_breaks(i: int, j: int) -> bool:
-        d = s.y[i] - s.y[j]
-        iv = float(np.dot(d[:-1], d[:-1]) - s.metric.c ** 2 * d[-1] ** 2)
-        return abs(iv) > 100 * tol * max(1.0, float(np.dot(d, d)))
+    def image_breaks(a: np.ndarray, b: np.ndarray) -> bool:
+        return classify(a, b, s.metric, 100 * tol) is not CausalClass.LIGHTLIKE
 
     for (i, j) in s.null_pairs:
-        if image_breaks(i, j):
+        if image_breaks(s.y[i], s.y[j]):
             return i, j
 
     c = s.metric.c
@@ -201,9 +199,7 @@ def _ensure_nonnull_image_witness(
         dt = rng.uniform(0.5, 2.0) / c
         partner = anchor + np.concatenate([c * dt * u, [dt]])
         ya, yp = anchor ** 3, partner ** 3
-        d = ya - yp
-        iv = float(np.dot(d[:-1], d[:-1]) - c ** 2 * d[-1] ** 2)
-        if abs(iv) > 100 * tol * max(1.0, float(np.dot(d, d))):
+        if image_breaks(ya, yp):
             base = len(s.x)
             s.x = np.vstack([s.x, anchor, partner])
             s.y = np.vstack([s.y, ya, yp])

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import AffineLorentzMap, scale_factor
+from .boost import AffineLorentzMap, check_velocity, scale_factor
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,7 @@ class RadarScenario:
     t0: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"signal speed must be positive and finite, got {self.c}")
-        if not np.isfinite(self.v) or abs(self.v) >= self.c:
-            raise ValueError(f"|v|={abs(self.v)} must be strictly below c={self.c}")
+        check_velocity(self.v, self.c)
         if not (np.isfinite(self.delta_xbar) and self.delta_xbar > 0):
             raise ValueError(f"mirror separation must be positive, got {self.delta_xbar}")
 
@@ -69,13 +66,13 @@ def comoving(x: float, t: float, v: float) -> float:
 
 def tprime(xbar: float, t: float, v: float, c: float = 1.0, alpha: float = 1.0) -> float:
     """Moving-frame time t' = alpha * (t - v * xbar / (c^2 - v^2))."""
-    _check_speed(v, c)
+    check_velocity(v, c)
     return alpha * (t - v * xbar / (c ** 2 - v ** 2))
 
 
 def xprime(xbar: float, v: float, c: float = 1.0, alpha: float = 1.0) -> float:
     """Moving-frame longitudinal coordinate x' = alpha * xbar / (1 - v^2/c^2)."""
-    _check_speed(v, c)
+    check_velocity(v, c)
     return alpha * xbar / (1.0 - (v / c) ** 2)
 
 
@@ -87,13 +84,8 @@ def yzprime(y_or_z: float, v: float, c: float = 1.0, alpha: float = 1.0) -> floa
     y' = c t' evaluates to the formula above.  With the normalized alpha
     the transverse coordinates are unchanged.
     """
-    _check_speed(v, c)
+    check_velocity(v, c)
     return alpha * y_or_z / np.sqrt(1.0 - (v / c) ** 2)
-
-
-def _check_speed(v: float, c: float) -> None:
-    if not np.isfinite(v) or abs(v) >= c:
-        raise ValueError(f"degenerate velocity: |v|={abs(v)} must be < c={c}")
 
 
 def light_clock(sc: RadarScenario) -> RadarTimeline:
@@ -134,7 +126,7 @@ def derive_map(v: float, c: float = 1.0) -> AffineLorentzMap:
     This shares no matrix-entry formulas with :func:`lightcone.boost.boost_x`
     yet agrees with it entrywise.
     """
-    _check_speed(v, c)
+    check_velocity(v, c)
     alpha = scale_factor(v, c)
     L = np.zeros((4, 4))
     for j in range(4):

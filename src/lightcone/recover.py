@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,30 +142,46 @@ class FitReport:
         )
 
 
-def _pair_intervals(pts: np.ndarray, m: Metric) -> tuple[np.ndarray, np.ndarray]:
-    # (N, N) squared intervals and squared Euclidean norms of all differences
-    diff = pts[:, None, :] - pts[None, :, :]
-    sq = diff ** 2
-    euclid = sq.sum(axis=-1)
-    iv = sq[..., :-1].sum(axis=-1) - m.c ** 2 * sq[..., -1]
-    return iv, euclid
+class _Side(NamedTuple):
+    abs_iv: np.ndarray  # |squared interval| of each separation
+    band: np.ndarray  # null-band half-width tol * max(1, |d|^2)
+    null: np.ndarray
+    coincident: np.ndarray  # |d|^2 == 0
+
+
+def _cone_masks(
+    separations, m: Metric, tol: float
+) -> tuple[_Side, _Side, np.ndarray, np.ndarray]:
+    """The pairwise masks of "null before iff null after".
+
+    ``separations`` yields the domain-side and then the image-side
+    separation vectors, of any leading shape (..., n).  Each is reduced
+    before the next is built, so only one difference tensor is alive at a
+    time.  Returns both sides, the ``indet`` mask of pairs inside 10x the
+    null band on either side, and the ``mismatch`` mask of pairs null on
+    exactly one side and determinate on both.
+    """
+    sides = []
+    for d in separations:
+        sq = d ** 2
+        del d
+        euclid = sq.sum(axis=-1)
+        abs_iv = np.abs(sq[..., :-1].sum(axis=-1) - m.c ** 2 * sq[..., -1])
+        del sq
+        band = tol * np.maximum(1.0, euclid)
+        sides.append(_Side(abs_iv, band, abs_iv <= band, euclid == 0.0))
+    x, y = sides
+    indet = (~x.null & (x.abs_iv <= 10 * x.band)) | (~y.null & (y.abs_iv <= 10 * y.band))
+    return x, y, indet, (x.null != y.null) & ~indet
 
 
 def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeCheck:
     """Test the biconditional "null before iff null after" on every pair."""
     if len(s) < 2:
         raise ValueError("need at least two samples")
-    iv_x, eu_x = _pair_intervals(s.x, s.metric)
-    iv_y, eu_y = _pair_intervals(s.y, s.metric)
-    band_x = tol * np.maximum(1.0, eu_x)
-    band_y = tol * np.maximum(1.0, eu_y)
-
-    null_x = np.abs(iv_x) <= band_x
-    null_y = np.abs(iv_y) <= band_y
-    indet = (~null_x & (np.abs(iv_x) <= 10 * band_x)) | (
-        ~null_y & (np.abs(iv_y) <= 10 * band_y)
+    x, y, indet, mismatch = _cone_masks(
+        (p[:, None, :] - p[None, :, :] for p in (s.x, s.y)), s.metric, tol
     )
-    mismatch = (null_x != null_y) & ~indet
 
     i_idx, j_idx = np.triu_indices(len(s), k=1)
     viol_mask = mismatch[i_idx, j_idx]
@@ -175,22 +192,19 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
     worst_excess = 0.0
     if violations:
         # size of the nonzero interval on the violating side, in band units
-        excess = np.where(
-            null_x, np.abs(iv_y) / band_y, np.abs(iv_x) / band_x
-        )[i_idx, j_idx]
+        excess = np.where(x.null, y.abs_iv / y.band, x.abs_iv / x.band)[i_idx, j_idx]
         excess = np.where(viol_mask, excess, -np.inf)
         k = int(np.argmax(excess))
         worst_pair = (int(i_idx[k]), int(j_idx[k]))
         worst_excess = float(excess[k])
 
-    dup_x = int(np.sum(eu_x[i_idx, j_idx] == 0.0))
-    dup_y = int(np.sum(eu_y[i_idx, j_idx] == 0.0))
+    duplicates = int(x.coincident[i_idx, j_idx].sum() + y.coincident[i_idx, j_idx].sum())
     return ConeCheck(
         violations=violations,
         worst_pair=worst_pair,
         worst_excess=worst_excess,
         indeterminate=indeterminate,
-        bijectivity_violations=dup_x + dup_y,
+        bijectivity_violations=duplicates,
     )
 
 
@@ -332,30 +346,17 @@ def induced_field_map_check(
     return FieldMapCheck(add_err, mul_err, ident_err, monotone, True)
 
 
-def _single_cone_audit(
-    s: SampleSet, cone: ConeCheck, tol: float, vertex: int = 0
-) -> tuple[int, int]:
-    """Count pairs violating cone preservation while every pair against the
-    chosen vertex is clean: for a linear map, preserving the single cone at
-    the vertex forces preservation of all of them, so any counterexample
-    witnesses non-linearity."""
+def _single_cone_audit(s: SampleSet, cone: ConeCheck, tol: float) -> int:
+    """Count pairs violating cone preservation while every pair against
+    vertex 0 is clean: for a linear map, preserving the single cone at the
+    vertex forces preservation of all of them, so any counterexample
+    witnesses non-linearity.  The masks are symmetric with a false
+    diagonal, so a clean vertex row puts every violation among the other
+    pairs and only that row needs checking."""
     if cone.violations == 0:
-        return vertex, 0
-    iv_x, eu_x = _pair_intervals(s.x, s.metric)
-    iv_y, eu_y = _pair_intervals(s.y, s.metric)
-    band_x = tol * np.maximum(1.0, eu_x)
-    band_y = tol * np.maximum(1.0, eu_y)
-    null_x = np.abs(iv_x) <= band_x
-    null_y = np.abs(iv_y) <= band_y
-    indet = (~null_x & (np.abs(iv_x) <= 10 * band_x)) | (
-        ~null_y & (np.abs(iv_y) <= 10 * band_y)
-    )
-    mismatch = (null_x != null_y) & ~indet
-    vertex_clean = not np.any(np.delete(mismatch[vertex], vertex))
-    if not vertex_clean:
-        return vertex, 0
-    others = np.delete(np.delete(mismatch, vertex, axis=0), vertex, axis=1)
-    return vertex, int(np.triu(others, k=1).sum())
+        return 0
+    *_, mismatch = _cone_masks((p - p[0] for p in (s.x, s.y)), s.metric, tol)
+    return 0 if np.any(mismatch) else cone.violations
 
 
 def recover_lorentz(
@@ -394,7 +395,7 @@ def recover_lorentz(
         diam = max(diam, float(np.linalg.norm(hi - lo)))
     threshold = tol * diam if diam > 0 else tol
 
-    vertex, counterexamples = _single_cone_audit(s, cone, geometry_tol)
+    counterexamples = _single_cone_audit(s, cone, geometry_tol)
 
     field_map = None
     if s.axis_grid is not None:
@@ -410,7 +411,7 @@ def recover_lorentz(
         fit_threshold=threshold,
         recovered=None,
         failure=failure,
-        single_cone_vertex=vertex,
+        single_cone_vertex=0,
         single_cone_counterexamples=counterexamples,
         field_map=field_map,
         num_samples=len(s),

@@ -52,6 +52,21 @@ def test_light_clock_rejects_bad_scenarios():
         RadarScenario(v=0.5, c=-1.0)
 
 
+def test_radar_shares_the_boost_velocity_margin():
+    # a speed a hair below c is degenerate for every entry point, not just BoostParams
+    v = 1.0 - 1e-14
+    for build in (
+        BoostParams,
+        RadarScenario,
+        derive_map,
+        lambda v: tprime(0.0, 1.0, v),
+        lambda v: xprime(1.0, v),
+        lambda v: yzprime(1.0, v),
+    ):
+        with pytest.raises(ValueError, match="degenerate velocity"):
+            build(v)
+
+
 def test_tprime_comoving_clock():
     assert tprime(0.0, 3.5, 0.6, 1.0, 0.8) == 0.8 * 3.5
 

@@ -363,3 +363,67 @@ def test_noise_degrades_monotonically():
 def test_sampleset_validates_markers():
     with pytest.raises(ValueError, match="out of range"):
         SampleSet(metric=M4, x=np.eye(4), y=np.eye(4), collinear=[(0, 1, 99)])
+
+
+# ------------------------------------------- cone check against a pair loop
+
+
+def _reference_cone_check(s, tol):
+    # the pairwise definition written out one pair at a time
+    def side(p, q):
+        d = p - q
+        iv = float(np.sum(d[:-1] ** 2) - s.metric.c ** 2 * d[-1] ** 2)
+        euclid = float(np.sum(d ** 2))
+        return abs(iv), tol * max(1.0, euclid), euclid == 0.0
+
+    violations = indeterminate = duplicates = 0
+    worst_pair, worst_excess = None, 0.0
+    for i in range(len(s)):
+        for j in range(i + 1, len(s)):
+            (ax, bx, dx), (ay, by, dy) = side(s.x[i], s.x[j]), side(s.y[i], s.y[j])
+            duplicates += dx + dy
+            null_x, null_y = ax <= bx, ay <= by
+            if (not null_x and ax <= 10 * bx) or (not null_y and ay <= 10 * by):
+                indeterminate += 1
+            elif null_x != null_y:
+                violations += 1
+                excess = ay / by if null_x else ax / bx
+                if excess > worst_excess or worst_pair is None:
+                    worst_pair, worst_excess = (i, j), excess
+    return violations, indeterminate, duplicates, worst_pair
+
+
+def _reference_corpus():
+    for c in (0.1, 1.0, 343.0, 2.99792458e8):
+        for kind in ("lorentz", "cubing", "permuted"):
+            cfg = GenerateConfig(kind="cubing" if kind == "cubing" else "lorentz",
+                                 c=c, v=0.6 * c, num_samples=60, seed=3)
+            s, _ = make_samples(cfg)
+            if kind == "permuted":
+                s = permute_images(s, 3)
+            # an exactly repeated pair, and a distinct point with a repeated image
+            s.x = np.vstack([s.x, s.x[0], s.x[1] + s.x[2]])
+            s.y = np.vstack([s.y, s.y[0], s.y[5]])
+            yield f"{kind}-c{c:g}", s
+
+
+def test_cone_check_matches_pair_loop():
+    totals = np.zeros(3, dtype=int)
+    for name, s in _reference_corpus():
+        for tol in (1e-9, 1e-3):
+            res = check_cone_preservation(s, tol)
+            violations, indeterminate, duplicates, worst_pair = _reference_cone_check(s, tol)
+            got = (res.violations, res.indeterminate, res.bijectivity_violations, res.worst_pair)
+            assert got == (violations, indeterminate, duplicates, worst_pair), (name, tol)
+            totals += (violations > 0, indeterminate > 0, duplicates > 0)
+    assert np.all(totals > 0)  # every branch of the definition is exercised
+
+
+def test_single_cone_audit_counts_counterexamples():
+    # the vertex row is clean, so the one violating pair is a counterexample
+    s, _ = make_samples(GenerateConfig(kind="noisy-lorentz", c=0.1, v=0.06,
+                                       num_samples=200, seed=0, noise=1e-7))
+    rep = recover_lorentz(s)
+    assert rep.cone.violations == 1
+    assert rep.single_cone_vertex == 0
+    assert rep.single_cone_counterexamples == 1
