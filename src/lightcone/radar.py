@@ -67,13 +67,13 @@ def comoving(x: float, t: float, v: float) -> float:
 def tprime(xbar: float, t: float, v: float, c: float = 1.0, alpha: float = 1.0) -> float:
     """Moving-frame time t' = alpha * (t - v * xbar / (c^2 - v^2))."""
     check_velocity(v, c)
-    return alpha * (t - v * xbar / (c ** 2 - v ** 2))
+    return _tprime(xbar, t, v, c, alpha)
 
 
 def xprime(xbar: float, v: float, c: float = 1.0, alpha: float = 1.0) -> float:
     """Moving-frame longitudinal coordinate x' = alpha * xbar / (1 - v^2/c^2)."""
     check_velocity(v, c)
-    return alpha * xbar / (1.0 - (v / c) ** 2)
+    return _xprime(xbar, v, c, alpha)
 
 
 def yzprime(y_or_z: float, v: float, c: float = 1.0, alpha: float = 1.0) -> float:
@@ -85,6 +85,19 @@ def yzprime(y_or_z: float, v: float, c: float = 1.0, alpha: float = 1.0) -> floa
     the transverse coordinates are unchanged.
     """
     check_velocity(v, c)
+    return _yzprime(y_or_z, v, c, alpha)
+
+
+# The closed forms without the velocity check, for callers that ran it once.
+def _tprime(xbar, t, v, c, alpha):
+    return alpha * (t - v * xbar / (c ** 2 - v ** 2))
+
+
+def _xprime(xbar, v, c, alpha):
+    return alpha * xbar / (1.0 - (v / c) ** 2)
+
+
+def _yzprime(y_or_z, v, c, alpha):
     return alpha * y_or_z / np.sqrt(1.0 - (v / c) ** 2)
 
 
@@ -124,7 +137,7 @@ def derive_map(v: float, c: float = 1.0) -> AffineLorentzMap:
     forms on basis events, with the normalized scale factor.
 
     This shares no matrix-entry formulas with :func:`lightcone.boost.boost_x`
-    yet agrees with it entrywise.
+    yet agrees with it entrywise.  The velocity is validated once, here.
     """
     check_velocity(v, c)
     alpha = scale_factor(v, c)
@@ -132,8 +145,8 @@ def derive_map(v: float, c: float = 1.0) -> AffineLorentzMap:
     for j in range(4):
         x, y, z, t = np.eye(4)[j]
         xbar = comoving(x, t, v)
-        L[0, j] = xprime(xbar, v, c, alpha)
-        L[1, j] = yzprime(y, v, c, alpha)
-        L[2, j] = yzprime(z, v, c, alpha)
-        L[3, j] = tprime(xbar, t, v, c, alpha)
+        L[0, j] = _xprime(xbar, v, c, alpha)
+        L[1, j] = _yzprime(y, v, c, alpha)
+        L[2, j] = _yzprime(z, v, c, alpha)
+        L[3, j] = _tprime(xbar, t, v, c, alpha)
     return AffineLorentzMap(1.0, L, np.zeros(4))

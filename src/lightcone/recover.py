@@ -30,6 +30,10 @@ FIT_TOL = 1e-6
 #: Rank decisions use singular values above this times the largest column norm.
 RANK_RTOL = 1e-12
 
+# Rows per block of the pairwise cone check.  At N = 2000 its time is flat
+# from 8 to 128 rows and grows beyond (0.44 s at 512 against 0.32 s).
+_CONE_BLOCK = 64
+
 
 class UnderdeterminedError(ValueError):
     """The sample does not affinely span R^n; the fit has no unique solution."""
@@ -85,10 +89,11 @@ class SampleSet:
 
 @dataclass
 class ConeCheck:
-    """Pairwise zero-interval preservation: ``violations`` counts pairs null
-    on exactly one side, pairs inside 10x the null band on either side are
-    skipped as ``indeterminate``.  Exactly repeated rows count against
-    bijectivity."""
+    """Pairwise zero-interval preservation over the pairs i < j:
+    ``violations`` counts pairs null on exactly one side, pairs inside 10x
+    the null band on either side are skipped as ``indeterminate``.  Exactly
+    repeated rows count against bijectivity.  The pairs are computed in
+    blocks of B rows, in O(B * N * n) memory rather than O(N^2 * n)."""
 
     violations: int
     worst_pair: tuple[int, int] | None
@@ -176,29 +181,40 @@ def _cone_masks(
 
 
 def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeCheck:
-    """Test the biconditional "null before iff null after" on every pair."""
-    if len(s) < 2:
+    """Test the biconditional "null before iff null after" on every pair.
+
+    Only the pairs i < j are visited, in blocks of ``_CONE_BLOCK`` rows
+    against every later column, so memory is O(B * N * n) for B rows per
+    block rather than O(N^2 * n).  The worst pair is the first maximum in
+    row-major order, as over the whole upper triangle at once.
+    """
+    n_pts = len(s)
+    if n_pts < 2:
         raise ValueError("need at least two samples")
-    x, y, indet, mismatch = _cone_masks(
-        (p[:, None, :] - p[None, :, :] for p in (s.x, s.y)), s.metric, tol
-    )
-
-    i_idx, j_idx = np.triu_indices(len(s), k=1)
-    viol_mask = mismatch[i_idx, j_idx]
-    violations = int(viol_mask.sum())
-    indeterminate = int(indet[i_idx, j_idx].sum())
-
+    violations = indeterminate = duplicates = 0
     worst_pair = None
     worst_excess = 0.0
-    if violations:
-        # size of the nonzero interval on the violating side, in band units
-        excess = np.where(x.null, y.abs_iv / y.band, x.abs_iv / x.band)[i_idx, j_idx]
-        excess = np.where(viol_mask, excess, -np.inf)
-        k = int(np.argmax(excess))
-        worst_pair = (int(i_idx[k]), int(j_idx[k]))
-        worst_excess = float(excess[k])
+    for i0 in range(0, n_pts - 1, _CONE_BLOCK):
+        i1 = min(i0 + _CONE_BLOCK, n_pts)
+        x, y, indet, mismatch = _cone_masks(
+            (p[i0:i1, None, :] - p[None, i0:, :] for p in (s.x, s.y)), s.metric, tol
+        )
+        upper = np.arange(i0, n_pts) > np.arange(i0, i1)[:, None]  # j > i
+        viol_mask = mismatch & upper
+        block_violations = int(np.count_nonzero(viol_mask))
+        violations += block_violations
+        indeterminate += int(np.count_nonzero(indet & upper))
+        duplicates += int(np.count_nonzero(x.coincident & upper))
+        duplicates += int(np.count_nonzero(y.coincident & upper))
+        if block_violations:
+            # size of the nonzero interval on the violating side, in band units
+            excess = np.where(x.null, y.abs_iv / y.band, x.abs_iv / x.band)
+            excess = np.where(viol_mask, excess, -np.inf)
+            r, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
+            if worst_pair is None or excess[r, k] > worst_excess:
+                worst_pair = (i0 + int(r), i0 + int(k))
+                worst_excess = float(excess[r, k])
 
-    duplicates = int(x.coincident[i_idx, j_idx].sum() + y.coincident[i_idx, j_idx].sum())
     return ConeCheck(
         violations=violations,
         worst_pair=worst_pair,

@@ -15,7 +15,8 @@ from lightcone import (
     xprime,
     yzprime,
 )
-from lightcone.boost import apply
+from lightcone import radar
+from lightcone.boost import apply, check_velocity
 
 SPEEDS = (0.1, 1.0, 343.0, 2.99792458e8)
 
@@ -113,6 +114,34 @@ def test_derive_map_matches_boost():
     D = derive_map(0.6, 1.0).L
     B = boost_x(BoostParams(0.6, 1.0)).L
     np.testing.assert_allclose(D, B, rtol=0, atol=1e-15)
+
+
+def test_derive_map_validates_once(monkeypatch):
+    calls = []
+
+    def counting(v, c):
+        calls.append((v, c))
+        return check_velocity(v, c)
+
+    monkeypatch.setattr(radar, "check_velocity", counting)
+    derive_map(0.6, 1.0)
+    assert len(calls) == 1
+
+
+def test_derive_map_equals_the_checked_closed_forms():
+    # the unchecked bodies evaluate exactly what the public closed forms do
+    rng = np.random.default_rng(24)
+    for _ in range(2000):
+        c = float(10.0 ** rng.uniform(-3, 9))
+        v = float(rng.uniform(-0.999, 0.999)) * c
+        alpha = scale_factor(v, c)
+        L = np.zeros((4, 4))
+        for j in range(4):
+            x, y, z, t = np.eye(4)[j]
+            xbar = comoving(x, t, v)
+            L[:, j] = (xprime(xbar, v, c, alpha), yzprime(y, v, c, alpha),
+                       yzprime(z, v, c, alpha), tprime(xbar, t, v, c, alpha))
+        assert np.array_equal(derive_map(v, c).L, L)
 
 
 def test_derive_map_velocity_reversal_inverts():

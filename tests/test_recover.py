@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from lightcone import (
     permute_images,
     recover_lorentz,
 )
+from lightcone import recover
 from lightcone.boost import apply
 
 M4 = Metric(4, 1.0)
@@ -407,9 +409,9 @@ def _reference_corpus():
             yield f"{kind}-c{c:g}", s
 
 
-def test_cone_check_matches_pair_loop():
+def _assert_matches_pair_loop(corpus):
     totals = np.zeros(3, dtype=int)
-    for name, s in _reference_corpus():
+    for name, s in corpus:
         for tol in (1e-9, 1e-3):
             res = check_cone_preservation(s, tol)
             violations, indeterminate, duplicates, worst_pair = _reference_cone_check(s, tol)
@@ -417,6 +419,53 @@ def test_cone_check_matches_pair_loop():
             assert got == (violations, indeterminate, duplicates, worst_pair), (name, tol)
             totals += (violations > 0, indeterminate > 0, duplicates > 0)
     assert np.all(totals > 0)  # every branch of the definition is exercised
+
+
+def test_cone_check_matches_pair_loop():
+    _assert_matches_pair_loop(_reference_corpus())
+
+
+@pytest.mark.parametrize("block", [7, 61])
+def test_cone_check_matches_pair_loop_across_blocks(monkeypatch, block):
+    # 7 leaves a partial last block of the 62 rows; 61 leaves the last row,
+    # which has no later partner, outside every block
+    monkeypatch.setattr(recover, "_CONE_BLOCK", block)
+    corpus = list(_reference_corpus())
+    assert all(len(s) == 62 for _, s in corpus)
+    _assert_matches_pair_loop(corpus)
+
+
+def test_cone_check_worst_pair_tie_across_blocks():
+    # rows repeating the worst violating pair give later pairs, in later
+    # blocks, of exactly the same excess; the earliest pair must win
+    s, _ = make_samples(GenerateConfig(kind="cubing", num_samples=80, seed=3))
+    first = check_cone_preservation(s)
+    assert first.worst_pair is not None and first.worst_pair[1] < recover._CONE_BLOCK
+    i, j = first.worst_pair
+    s.x = np.vstack([s.x, s.x[i], s.x[j]])
+    s.y = np.vstack([s.y, s.y[i], s.y[j]])
+    res = check_cone_preservation(s)
+    *_, worst_pair = _reference_cone_check(s, recover.GEOMETRY_TOL)
+    assert res.worst_pair == worst_pair == (i, j)
+    assert res.worst_excess == first.worst_excess
+    # the repeated rows form the same separation, so the tie is exact
+    n = len(s)
+    tail = SampleSet(metric=s.metric, x=s.x[n - 2:], y=s.y[n - 2:])
+    assert check_cone_preservation(tail).worst_excess == first.worst_excess
+
+
+def test_cone_check_memory_is_row_blocked():
+    # the full N x N x n tensors took 343 MiB traced at N = 2000
+    s, _ = lorentz_set(num_samples=2000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = check_cone_preservation(s)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert res.violations == 0
+    assert peak <= 34 * 2 ** 20
 
 
 def test_single_cone_audit_counts_counterexamples():
