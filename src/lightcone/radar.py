@@ -107,6 +107,8 @@ def light_clock(sc: RadarScenario) -> RadarTimeline:
     Rest-frame: t1 = t0 + delta_xbar / (c - v), t2 = t1 + delta_xbar / (c + v).
     Moving-frame times come from the derived closed forms and satisfy the
     midpoint convention tprime1 = (tprime0 + tprime2) / 2 identically.
+    The scenario validated its velocity at construction, so the closed
+    forms run unchecked.
     """
     t1 = sc.t0 + sc.delta_xbar / (sc.c - sc.v)
     t2 = t1 + sc.delta_xbar / (sc.c + sc.v)
@@ -115,9 +117,9 @@ def light_clock(sc: RadarScenario) -> RadarTimeline:
         t0=sc.t0,
         t1=t1,
         t2=t2,
-        tprime0=tprime(0.0, sc.t0, sc.v, sc.c, alpha),
-        tprime1=tprime(sc.delta_xbar, t1, sc.v, sc.c, alpha),
-        tprime2=tprime(0.0, t2, sc.v, sc.c, alpha),
+        tprime0=_tprime(0.0, sc.t0, sc.v, sc.c, alpha),
+        tprime1=_tprime(sc.delta_xbar, t1, sc.v, sc.c, alpha),
+        tprime2=_tprime(0.0, t2, sc.v, sc.c, alpha),
     )
 
 

@@ -144,6 +144,36 @@ def test_derive_map_equals_the_checked_closed_forms():
         assert np.array_equal(derive_map(v, c).L, L)
 
 
+def test_light_clock_validates_once(monkeypatch):
+    # the scenario checks its velocity at construction; the clock runs unchecked
+    sc = RadarScenario(v=0.6, c=1.0, delta_xbar=2.0, t0=0.5)
+    calls = []
+
+    def counting(v, c):
+        calls.append((v, c))
+        return check_velocity(v, c)
+
+    monkeypatch.setattr(radar, "check_velocity", counting)
+    light_clock(sc)
+    assert calls == []
+
+
+def test_light_clock_equals_the_checked_closed_forms():
+    rng = np.random.default_rng(25)
+    for _ in range(2000):
+        c = float(10.0 ** rng.uniform(-3, 9))
+        v = float(rng.uniform(-0.999, 0.999)) * c
+        sc = RadarScenario(v=v, c=c, delta_xbar=float(rng.uniform(0.1, 10.0)),
+                           t0=float(rng.uniform(-5.0, 5.0)))
+        tl = light_clock(sc)
+        alpha = scale_factor(v, c)
+        expected = (tprime(0.0, tl.t0, v, c, alpha),
+                    tprime(sc.delta_xbar, tl.t1, v, c, alpha),
+                    tprime(0.0, tl.t2, v, c, alpha))
+        got = (tl.tprime0, tl.tprime1, tl.tprime2)
+        assert [x.hex() for x in map(float, got)] == [x.hex() for x in map(float, expected)]
+
+
 def test_derive_map_velocity_reversal_inverts():
     P = derive_map(0.6, 1.0).L @ derive_map(-0.6, 1.0).L
     np.testing.assert_allclose(P, np.eye(4), atol=1e-14)

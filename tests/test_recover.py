@@ -3,6 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lightcone import (
     AffineLorentzMap,
@@ -395,6 +398,13 @@ def _reference_cone_check(s, tol):
     return violations, indeterminate, duplicates, worst_pair
 
 
+def _repeat_rows(s):
+    # an exactly repeated pair, and a distinct point with a repeated image
+    s.x = np.vstack([s.x, s.x[0], s.x[1] + s.x[2]])
+    s.y = np.vstack([s.y, s.y[0], s.y[5]])
+    return s
+
+
 def _reference_corpus():
     for c in (0.1, 1.0, 343.0, 2.99792458e8):
         for kind in ("lorentz", "cubing", "permuted"):
@@ -403,10 +413,7 @@ def _reference_corpus():
             s, _ = make_samples(cfg)
             if kind == "permuted":
                 s = permute_images(s, 3)
-            # an exactly repeated pair, and a distinct point with a repeated image
-            s.x = np.vstack([s.x, s.x[0], s.x[1] + s.x[2]])
-            s.y = np.vstack([s.y, s.y[0], s.y[5]])
-            yield f"{kind}-c{c:g}", s
+            yield f"{kind}-c{c:g}", _repeat_rows(s)
 
 
 def _assert_matches_pair_loop(corpus):
@@ -433,6 +440,64 @@ def test_cone_check_matches_pair_loop_across_blocks(monkeypatch, block):
     corpus = list(_reference_corpus())
     assert all(len(s) == 62 for _, s in corpus)
     _assert_matches_pair_loop(corpus)
+
+
+def _dimension_corpus():
+    # the coordinate loop of the kernel depends on n; lorentz samples are 4-D only
+    for n in (3, 5):
+        for c in (0.1, 1.0, 343.0, 2.99792458e8):
+            for kind in ("cubing", "translation", "shear"):
+                cfg = GenerateConfig(kind=kind, n=n, c=c, v=0.6 * c, num_samples=60, seed=4)
+                yield f"{kind}-n{n}-c{c:g}", _repeat_rows(make_samples(cfg)[0])
+    # n = 2: one spatial term, so the kernel's inner coordinate loop is empty
+    rng = np.random.default_rng(43)
+    for c in (1.0, 343.0):
+        x = rng.uniform(-2, 2, (40, 2)) / (1.0, c)
+        x[20:30] = x[:10] + rng.choice((-1.0, 1.0), (10, 1)) * (c, 1.0)  # null pairs
+        yield f"hand-n2-c{c:g}", _repeat_rows(SampleSet(metric=Metric(2, c), x=x, y=x ** 3))
+
+
+def test_cone_check_matches_pair_loop_in_other_dimensions():
+    _assert_matches_pair_loop(_dimension_corpus())
+
+
+def test_cone_check_matches_pair_loop_in_other_dimensions_across_blocks(monkeypatch):
+    monkeypatch.setattr(recover, "_CONE_BLOCK", 7)
+    _assert_matches_pair_loop(_dimension_corpus())
+
+
+@st.composite
+def _small_cone_samples(draw):
+    n = draw(st.integers(2, 5))
+    size = draw(st.integers(2, 24))
+    c = draw(st.sampled_from((1e-3, 1.0, 343.0, 2.99792458e8)))
+    index = st.integers(0, size - 1)
+    x, y = (
+        draw(arrays(np.float64, (size, n), elements=st.floats(-10, 10))) / ((1.0,) * (n - 1) + (c,))
+        for _ in range(2)
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        p = draw(st.sampled_from((x, y)))
+        p[draw(index)] = p[draw(index)]
+    for _ in range(draw(st.integers(0, 3))):
+        # p_j - p_i = k (c, 0, ..., 0, 1): null on the chosen sides
+        i, j, k = draw(index), draw(index), draw(st.sampled_from((-2.0, 1.0, 3.0)))
+        for p in draw(st.sampled_from(((x,), (y,), (x, y)))):
+            p[j] = p[i]
+            p[j, 0] += k * c
+            p[j, -1] += k
+    return SampleSet(metric=Metric(n, c), x=x, y=y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=_small_cone_samples(), block=st.sampled_from((1, 3, 64)),
+       tol=st.sampled_from((1e-9, 1e-3)))
+def test_cone_check_matches_pair_loop_property(s, block, tol):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recover, "_CONE_BLOCK", block)
+        res = check_cone_preservation(s, tol)
+    got = (res.violations, res.indeterminate, res.bijectivity_violations, res.worst_pair)
+    assert got == _reference_cone_check(s, tol)
 
 
 def test_cone_check_worst_pair_tie_across_blocks():
