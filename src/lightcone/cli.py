@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__
 from .boost import BoostParams, boost_x, scale_factor
 from .generate import KINDS, GenerateConfig, make_samples
-from .minkowski import Metric, classify, interval
+from .minkowski import DEFAULT_TOL, Metric, classify, interval
 from .radar import RadarScenario, light_clock, rest_frame_positions, xprime
-from .recover import recover_lorentz
+from .recover import FIT_TOL, GEOMETRY_TOL, recover_lorentz
 from .sampleio import (
     SampleFormatError,
     load_samples,
@@ -173,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check hypotheses and recover the map from a sample file")
     p.add_argument("input")
-    p.add_argument("--tol", type=float, default=1e-6, help="fit acceptance, relative to sample diameter")
-    p.add_argument("--cone-tol", type=float, default=1e-9, help="geometric tolerance for the checks")
+    p.add_argument("--tol", type=float, default=FIT_TOL, help="fit acceptance, relative to sample diameter")
+    p.add_argument("--cone-tol", type=float, default=GEOMETRY_TOL, help="geometric tolerance for the checks")
     p.add_argument("--out", default=None, help="write the report as JSON")
     p.set_defaults(func=_cmd_verify)
 
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("event2")
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_classify)
     return parser
 

@@ -71,10 +71,7 @@ def classify_span(u, v, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
         raise ValueError("span vectors are linearly dependent")
     guu, gvv, guv = inner(u, u, m), inner(v, v, m), inner(u, v, m)
     det = guu * gvv - guv * guv
-    scale = max(
-        1.0,
-        abs_inner(u, u, m) * abs_inner(v, v, m) + abs_inner(u, v, m) ** 2,
-    )
+    scale = abs_inner(u, u, m) * abs_inner(v, v, m) + abs_inner(u, v, m) ** 2
     if abs(det) <= tol * scale:
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if det < 0 else CausalClass.SPACELIKE
@@ -155,7 +152,7 @@ def on_null_plane_algebraic(p, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> 
         raise ValueError("line is not null")
     w = as_event(p, m) - l.point
     b = inner(w, l.direction, m)
-    return abs(b) <= tol * max(1.0, abs_inner(w, l.direction, m))
+    return abs(b) <= tol * abs_inner(w, l.direction, m)
 
 
 def on_null_plane_by_characterization(
@@ -176,10 +173,10 @@ def on_null_plane_by_characterization(
     d = l.direction
     q = inner(w, w, m)
     b = inner(w, d, m)
-    if abs(b) > tol * max(1.0, abs_inner(w, d, m)):
+    if abs(b) > tol * abs_inner(w, d, m):
         # some cone with vertex l.at(q / (2 b)) passes through p
         return False
-    if abs(q) <= tol * max(1.0, abs_inner(w, w, m)):
+    if abs(q) <= tol * abs_inner(w, w, m):
         # w is null and orthogonal to the null direction, hence parallel
         # to it: p lies on l
         return True

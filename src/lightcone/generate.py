@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boost import BoostParams, boost_x
-from .minkowski import CausalClass, Metric, classify
+from .minkowski import DEFAULT_TOL, CausalClass, Metric, classify
 from .recover import AxisGrid, SampleSet
 
 KINDS = ("lorentz", "translation", "cubing", "shear", "noisy-lorentz")
@@ -178,7 +178,7 @@ def make_samples(cfg: GenerateConfig) -> tuple[SampleSet, dict]:
 
 
 def _ensure_nonnull_image_witness(
-    s: SampleSet, rng: np.random.Generator, tol: float = 1e-9
+    s: SampleSet, rng: np.random.Generator, tol: float = DEFAULT_TOL
 ) -> tuple[int, int]:
     """Guarantee the sample holds a marked null pair whose image interval is
     solidly nonzero; search random null offsets if none of the marked ones

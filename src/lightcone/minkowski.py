@@ -10,8 +10,11 @@ isometries for *every* ``c``, which is the whole point of keeping ``c`` a
 runtime parameter instead of a unit convention.
 
 The exact trichotomy (zero / positive / negative squared interval) is
-replaced by a relative tolerance band so the predicates stay meaningful in
-floating point across wildly different magnitudes of ``c``.
+replaced by the one null band of the package: a metric product
+``q = inner(r, s)`` is null iff ``|q| <= tol * abs_inner(r, s)``.  For a
+separation d the scale is ``|d_space|^2 + c^2 d_t^2``, with no floor: an exact
+zero (a vertex on its own cone) is null as 0 <= 0, and neither rescaling the
+events nor trading the time unit against ``c`` changes a class.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: Default width of the null band, relative to max(1, squared Euclidean norm).
+#: Default width of the null band, relative to ``abs_inner`` (see the module docstring).
 DEFAULT_TOL = 1e-9
 
 
@@ -98,18 +101,14 @@ def interval(r, s, m: Metric) -> float:
 
 
 def classify(r, s, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
-    """Causal class of the pair (r, s).
-
-    The null band is ``|interval| <= tol * max(1, |r-s|^2)`` with the plain
-    Euclidean squared norm as scale, so the predicate is invariant under a
-    common rescaling of both events once safely outside the band.
-    """
+    """Causal class of the pair (r, s): the sign of ``interval(r, s)``,
+    with the null band of the module docstring."""
     if tol < 0:
         raise ValueError("tolerance must be >= 0")
     d = as_event(r, m) - as_event(s, m)
-    iv = float(np.dot(d[:-1], d[:-1]) - m.c ** 2 * (d[-1] * d[-1]))
-    band = tol * max(1.0, float(np.dot(d, d)))
-    if abs(iv) <= band:
+    space, time = float(np.dot(d[:-1], d[:-1])), m.c ** 2 * float(d[-1] * d[-1])
+    iv = space - time
+    if abs(iv) <= tol * (space + time):
         return CausalClass.LIGHTLIKE
     return CausalClass.SPACELIKE if iv > 0 else CausalClass.TIMELIKE
 

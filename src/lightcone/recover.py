@@ -19,15 +19,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .boost import AffineLorentzMap, NotConformalError, decompose_conformal
-from .minkowski import Metric
+from .minkowski import DEFAULT_TOL, Metric
 
 #: Relative geometric tolerance shared by the pairwise and marker checks.
-GEOMETRY_TOL = 1e-9
+GEOMETRY_TOL = DEFAULT_TOL
 
 #: Fit acceptance: max residual <= FIT_TOL * sample diameter.
 FIT_TOL = 1e-6
 
-#: Rank decisions use singular values above this times the largest column norm.
+#: Rank decisions count singular values of the equilibrated design above this.
 RANK_RTOL = 1e-12
 
 # Rows per block of the pairwise cone check.  At N = 2000 its time is flat
@@ -92,12 +92,13 @@ class SampleSet:
 class ConeCheck:
     """Pairwise zero-interval preservation over the pairs i < j:
     ``violations`` counts pairs null on exactly one side, pairs inside 10x
-    the null band on either side are skipped as ``indeterminate``.  Exactly
-    repeated rows count against bijectivity.  The pairs are computed in
-    blocks of B rows, one coordinate at a time on (B, N) arrays, in O(B * N)
-    memory rather than O(N^2 * n).  Each interval is summed over the
-    coordinates in the order of the definition, so the counts, the worst
-    pair and the bits of ``worst_excess`` are those of a per-pair loop."""
+    the null band of ``lightcone.minkowski`` on either side are skipped as
+    ``indeterminate``.  Exactly repeated rows count against bijectivity.
+    The pairs are computed in blocks of B rows, one coordinate at a time on
+    (B, N) arrays, in O(B * N) memory rather than O(N^2 * n).  Each interval
+    is summed over the coordinates in the order of the definition, so the
+    counts, the worst pair and the bits of ``worst_excess`` are those of a
+    per-pair loop."""
 
     violations: int
     worst_pair: tuple[int, int] | None
@@ -153,9 +154,9 @@ class FitReport:
 
 class _Side(NamedTuple):
     abs_iv: np.ndarray  # |squared interval| of each separation
-    band: np.ndarray  # null-band half-width tol * max(1, |d|^2)
+    band: np.ndarray  # null-band half-width, as in lightcone.minkowski
     null: np.ndarray
-    coincident: np.ndarray  # |d|^2 == 0
+    coincident: np.ndarray  # the band's scale is 0
 
 
 def _side(rows: np.ndarray, cols: np.ndarray, c2: float, tol: float) -> _Side:
@@ -169,12 +170,13 @@ def _side(rows: np.ndarray, cols: np.ndarray, c2: float, tol: float) -> _Side:
         space += np.multiply(d, d, out=d)
     np.subtract(rows[-1][:, None], cols[-1], out=d)
     t2 = np.multiply(d, d, out=d)
-    euclid = space + t2
     t2 *= c2
-    abs_iv = np.abs(np.subtract(space, t2, out=space), out=space)
-    band = np.maximum(euclid, 1.0, out=d)  # the time term is spent; reuse it
+    iv = space - t2
+    band = np.add(space, t2, out=d)  # the time term is spent; reuse it
+    abs_iv = np.abs(iv, out=space)
+    coincident = band == 0.0
     band *= tol
-    return _Side(abs_iv, band, abs_iv <= band, euclid == 0.0)
+    return _Side(abs_iv, band, abs_iv <= band, coincident)
 
 
 def _cone_masks(
@@ -186,12 +188,12 @@ def _cone_masks(
     side, coordinate-major: arrays of shape (n, R) and (n, C), one row per
     coordinate, so each pass works on 2-D arrays.  The masks are (R, C),
     over the separations ``rows[:, i] - cols[:, j]``.  The squared
-    interval and the Euclidean norm are summed over the coordinates in the
-    order of the definition, sum_{k<n-1} d_k^2 and then the time term, so
-    every mask and ratio has the bits of the per-pair formula.  Returns
-    both sides, the ``indet`` mask of pairs inside 10x the null band on
-    either side, and the ``mismatch`` mask of pairs null on exactly one
-    side and determinate on both.
+    interval and its null band (``lightcone.minkowski``) are summed over
+    the coordinates in the order of the definition, sum_{k<n-1} d_k^2 and
+    then the time term, so every mask and ratio has the bits of the
+    per-pair formula.  Returns both sides, the ``indet`` mask of pairs
+    inside 10x the null band on either side, and the ``mismatch`` mask of
+    pairs null on exactly one side and determinate on both.
     """
     x, y = (_side(r, q, m.c ** 2, tol) for r, q in zip(rows, cols))
     indet = (~x.null & (x.abs_iv <= 10 * x.band)) | (~y.null & (y.abs_iv <= 10 * y.band))
@@ -227,9 +229,12 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
         duplicates += int(np.count_nonzero(x.coincident & upper))
         duplicates += int(np.count_nonzero(y.coincident & upper))
         if block_violations:
-            # size of the nonzero interval on the violating side, in band units
-            excess = np.where(x.null, y.abs_iv / y.band, x.abs_iv / x.band)
-            excess = np.where(viol_mask, excess, -np.inf)
+            # the violating side's interval in band units, divided only there:
+            # inf where that band is 0 (tol = 0, or tol * scale underflows)
+            excess = np.where(x.null, y.abs_iv, x.abs_iv)
+            with np.errstate(divide="ignore"):
+                np.divide(excess, np.where(x.null, y.band, x.band), out=excess, where=viol_mask)
+            excess[~viol_mask] = -np.inf
             r, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
             if worst_pair is None or excess[r, k] > worst_excess:
                 worst_pair = (i0 + int(r), i0 + int(k))
@@ -301,18 +306,17 @@ def fit_affine(s: SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
     homogeneous coordinates, columns equilibrated for conditioning.
 
     Raises UnderdeterminedError when the samples do not affinely span R^n
-    (rank decided against RANK_RTOL times the largest column norm).
+    (rank decided on the unit-free equilibrated columns, against RANK_RTOL).
     """
     n = s.metric.n
     if len(s) < n + 1:
         raise UnderdeterminedError(f"need at least {n + 1} samples, got {len(s)}")
     X = np.hstack([s.x, np.ones((len(s), 1))])
     col_norms = np.linalg.norm(X, axis=0)
-    sv = np.linalg.svd(X, compute_uv=False)
-    if int(np.sum(sv > RANK_RTOL * float(col_norms.max()))) < n + 1:
-        raise UnderdeterminedError("samples do not affinely span R^n")
     d = np.where(col_norms > 0, col_norms, 1.0)
     Xs = X / d
+    if int(np.sum(np.linalg.svd(Xs, compute_uv=False) > RANK_RTOL)) < n + 1:
+        raise UnderdeterminedError("samples do not affinely span R^n")
     theta = np.linalg.solve(Xs.T @ Xs, Xs.T @ s.y) / d[:, None]
     M = theta[:n].T
     a = theta[n]

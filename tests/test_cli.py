@@ -187,6 +187,7 @@ def test_classify_outputs():
     assert run_cli("classify", "0,0,0,0", "1,0,0,0").stdout.startswith("spacelike")
     assert run_cli("classify", "0,0,0,0", "0,0,0,1").stdout.startswith("timelike")
     assert run_cli("classify", "--c", 343, "0,0,343", "0,1,343").stdout.startswith("spacelike")
+    assert run_cli("classify", "--c", 0.001, "0,0,0,0", "0,0,0,0.01").stdout.startswith("timelike")
 
 
 def test_classify_dimension_mismatch_exit_two():

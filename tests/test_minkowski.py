@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightcone import CausalClass, Metric, classify, inner, interval, on_null_cone
-from lightcone.minkowski import as_event
+from lightcone.minkowski import abs_inner, as_event
 
 M4 = Metric(4, 1.0)
 
@@ -42,6 +42,10 @@ def test_classify_examples():
     assert classify([1, 0, 0, 1], zero, M4, 1e-12) is CausalClass.LIGHTLIKE
     assert classify([1, 0, 0, 0], zero, M4) is CausalClass.SPACELIKE
     assert classify([0, 0, 0, 1], zero, M4) is CausalClass.TIMELIKE
+    # the band has no absolute floor: a short offset, and an event at rest
+    # 0.01 later with c = 1e-3
+    assert classify([1e-5, 0, 0, 0], zero, M4) is CausalClass.SPACELIKE
+    assert classify([0, 0, 0, 0.01], zero, Metric(4, 1e-3)) is CausalClass.TIMELIKE
 
 
 def test_on_null_cone():
@@ -86,13 +90,16 @@ vec4 = st.tuples(finite, finite, finite, finite)
 
 
 @given(a=finite, b=finite, r=vec4, s=vec4, t=vec4)
+@example(a=42.999999999999986, b=-43.0, r=(3.0, 0, 0, 0), s=(3.0, 0, 0, 0), t=(50.0, 0, 0, 0))
 @settings(max_examples=200)
 def test_inner_bilinear(a, b, r, s, t):
+    # rounding scales with the terms that cancel, not with the result; in
+    # the subnormal range it is absolute, far below the smallest normal float
     r, s, t = np.array(r), np.array(s), np.array(t)
     lhs = inner(a * r + b * s, t, M4)
     rhs = a * inner(r, t, M4) + b * inner(s, t, M4)
-    scale = max(1.0, abs(lhs), abs(rhs))
-    assert abs(lhs - rhs) <= 1e-12 * scale
+    scale = abs(a) * abs_inner(r, t, M4) + abs(b) * abs_inner(s, t, M4)
+    assert abs(lhs - rhs) <= 1e-12 * scale + np.finfo(float).tiny
 
 
 @given(r=vec4, s=vec4)

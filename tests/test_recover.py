@@ -378,8 +378,8 @@ def _reference_cone_check(s, tol):
     def side(p, q):
         d = p - q
         iv = float(np.sum(d[:-1] ** 2) - s.metric.c ** 2 * d[-1] ** 2)
-        euclid = float(np.sum(d ** 2))
-        return abs(iv), tol * max(1.0, euclid), euclid == 0.0
+        scale = float(np.sum(d[:-1] ** 2)) + float(s.metric.c ** 2 * d[-1] ** 2)
+        return abs(iv), tol * scale, scale == 0.0
 
     violations = indeterminate = duplicates = 0
     worst_pair, worst_excess = None, 0.0
@@ -392,7 +392,8 @@ def _reference_cone_check(s, tol):
                 indeterminate += 1
             elif null_x != null_y:
                 violations += 1
-                excess = ay / by if null_x else ax / bx
+                num, band = (ay, by) if null_x else (ax, bx)
+                excess = num / band if band else math.inf  # band 0: tol = 0, or tol * scale underflows
                 if excess > worst_excess or worst_pair is None:
                     worst_pair, worst_excess = (i, j), excess
     return violations, indeterminate, duplicates, worst_pair
@@ -534,10 +535,15 @@ def test_cone_check_memory_is_row_blocked():
 
 
 def test_single_cone_audit_counts_counterexamples():
-    # the vertex row is clean, so the one violating pair is a counterexample
-    s, _ = make_samples(GenerateConfig(kind="noisy-lorentz", c=0.1, v=0.06,
-                                       num_samples=200, seed=0, noise=1e-7))
-    rep = recover_lorentz(s)
-    assert rep.cone.violations == 1
-    assert rep.single_cone_vertex == 0
-    assert rep.single_cone_counterexamples == 1
+    # stretching the image time leg of one marked null pair breaks that pair
+    # alone, far outside the band; the vertex row is clean, so the one
+    # violating pair is a counterexample
+    for c in (0.1, 1.0, 343.0, 2.99792458e8):
+        s, _ = make_samples(GenerateConfig(kind="lorentz", c=c, v=0.6 * c, num_samples=60, seed=0))
+        assert (1, 32) in s.null_pairs
+        s.y[32, -1] = s.y[1, -1] + (s.y[32, -1] - s.y[1, -1]) * (1 + 1e-6)
+        rep = recover_lorentz(s)
+        assert rep.cone.violations == 1, c
+        assert rep.cone.worst_pair == (1, 32), c
+        assert rep.single_cone_vertex == 0
+        assert rep.single_cone_counterexamples == 1, c
