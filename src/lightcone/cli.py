@@ -6,7 +6,8 @@ boost matrix), ``radar`` (light-clock timeline as CSV), and ``classify``
 (causal class of an event pair).
 
 Exit codes: 0 success, 1 I/O or file-format errors, 2 domain errors
-(degenerate parameters, hypothesis violations, failed recovery).
+(degenerate parameters, samples that overflow, hypothesis violations,
+failed recovery).
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def main(argv=None) -> int:
     except (SampleFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

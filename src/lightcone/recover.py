@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,10 +29,10 @@ FIT_TOL = 1e-6
 #: Rank decisions count singular values of the equilibrated design above this.
 RANK_RTOL = 1e-12
 
-# Rows per block of the pairwise cone check.  At N = 2000 its time is flat
-# at about 0.06 s from 8 to 64 rows and grows beyond (0.08 s at 128, 0.12 s
-# at 512), on 2 vCPUs.
-_CONE_BLOCK = 64
+# Rows per block of the cone check.  Median seconds for 8/16/32/64/128 rows, 2 vCPUs:
+# 0.015/0.011/0.009/0.010/0.021 at N = 2000, 0.25/0.27/0.29/0.40/0.39 at N = 10^4;
+# the traced peak at N = 2000 is 1.3 MiB at 16 rows, 2.9 MiB at 64.
+_CONE_BLOCK = 16
 
 
 class UnderdeterminedError(ValueError):
@@ -75,6 +74,15 @@ class SampleSet:
             raise ValueError(f"y has shape {self.y.shape}, expected {self.x.shape}")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("samples contain non-finite values")
+        # 16x each sum of the cone check stays finite: time weighted by max(1, c) bounds
+        # both its screen and its definition, and below 2^250 none exceeds n 2^502
+        w = max(1.0, self.metric.c)
+        if w * float(max(np.abs(p).max(initial=0.0) for p in (self.x, self.y))) > 2.0 ** 250:
+            with np.errstate(over="ignore"):
+                norms = 16 * _centred(np.stack((self.x, self.y)), w)[1]
+            if not np.isfinite(norms).all():
+                raise OverflowError("samples overflow: a squared distance from the first "
+                                    "point exceeds 1/16 of the float range")
         for marker in (*self.collinear, *self.parallel, *self.null_pairs):
             for i in marker:
                 if not 0 <= i < len(self.x):
@@ -94,11 +102,9 @@ class ConeCheck:
     ``violations`` counts pairs null on exactly one side, pairs inside 10x
     the null band of ``lightcone.minkowski`` on either side are skipped as
     ``indeterminate``.  Exactly repeated rows count against bijectivity.
-    The pairs are computed in blocks of B rows, one coordinate at a time on
-    (B, N) arrays, in O(B * N) memory rather than O(N^2 * n).  Each interval
-    is summed over the coordinates in the order of the definition, so the
-    counts, the worst pair and the bits of ``worst_excess`` are those of a
-    per-pair loop."""
+    A matmul screen keeps every pair that can count, in O(B * N) memory, and
+    only those go through the per-pair definition, so the counts, the worst
+    pair and the bits of ``worst_excess`` are those of a per-pair loop."""
 
     violations: int
     worst_pair: tuple[int, int] | None
@@ -152,93 +158,114 @@ class FitReport:
         )
 
 
-class _Side(NamedTuple):
-    abs_iv: np.ndarray  # |squared interval| of each separation
-    band: np.ndarray  # null-band half-width, as in lightcone.minkowski
-    null: np.ndarray
-    coincident: np.ndarray  # the band's scale is 0
+def _centred(p: np.ndarray, c: float):
+    # the rows of p (sides stacked on leading axes) about the first, in the balanced
+    # frame diag(1, ..., 1, c) where the metric is diag(1, ..., 1, -1), and each |q|^2
+    q = p - p[..., :1, :]
+    q[..., -1] *= c
+    return q, np.einsum("...ij,...ij->...i", q, q)
 
 
-def _side(rows: np.ndarray, cols: np.ndarray, c2: float, tol: float) -> _Side:
-    # separations rows[:, i] - cols[:, j] of coordinate-major (n, R) and
-    # (n, C) arrays, squared and summed one coordinate at a time in the
-    # definition's order: space = d_0^2 + ... + d_{n-2}^2, then the time term
-    d = np.subtract(rows[0][:, None], cols[0])
+def _screens(s: SampleSet, tol: float) -> list:
+    # per side, the (rows, cols) operands of the matmuls L and R of check_cone_preservation
+    out = []
+    for p in (s.x, s.y):
+        q, S = _centred(p, s.metric.c)
+        Q = S - 2 * q[:, -1] ** 2
+        t10 = 10 * tol
+        slack = 8 * (p.shape[1] + 4) * (1 + t10)
+        R = (t10 + slack * 2.0 ** -53) * S
+        one = np.ones((len(q), 1))
+        cols = [np.ascontiguousarray(np.hstack([q, one, v[:, None]]).T) for v in (Q, R)]
+        rows = [np.hstack([-2 * q[:, :-1], 2 * q[:, -1:], Q[:, None], one]),
+                np.hstack([-2 * t10 * q, (R + slack * 2.0 ** -1022)[:, None], one])]
+        out.append(tuple(zip(rows, cols)))
+    return out
+
+
+def _pair_side(p: np.ndarray, i: np.ndarray, j: np.ndarray, c2: float, tol: float):
+    # the definition (lightcone.minkowski) on the pairs (i[k], j[k]) of one side: the squares
+    # d_0^2 + ... + d_{n-2}^2 in coordinate order, then c^2 d_t^2; |interval|, band, scale == 0
+    d = p[i, 0] - p[j, 0]
     space = d * d
-    for k in range(1, len(rows) - 1):
-        np.subtract(rows[k][:, None], cols[k], out=d)
-        space += np.multiply(d, d, out=d)
-    np.subtract(rows[-1][:, None], cols[-1], out=d)
-    t2 = np.multiply(d, d, out=d)
-    t2 *= c2
-    iv = space - t2
-    band = np.add(space, t2, out=d)  # the time term is spent; reuse it
-    abs_iv = np.abs(iv, out=space)
-    coincident = band == 0.0
-    band *= tol
-    return _Side(abs_iv, band, abs_iv <= band, coincident)
+    for k in range(1, p.shape[1] - 1):
+        d = p[i, k] - p[j, k]
+        space += d * d
+    d = p[i, -1] - p[j, -1]
+    t2 = d * d * c2
+    scale = space + t2
+    return np.abs(space - t2), tol * scale, scale == 0.0
 
 
-def _cone_masks(
-    rows, cols, m: Metric, tol: float
-) -> tuple[_Side, _Side, np.ndarray, np.ndarray]:
-    """The pairwise masks of "null before iff null after".
+def _near(screens: list, i0: int, i1: int) -> np.ndarray:
+    # the screen over rows i0:i1 and columns i0:, False only where |L| > R on
+    # both sides (a NaN keeps its pair)
+    far_x, far_y = (
+        np.abs(a[i0:i1] @ b[:, i0:]) > ra[i0:i1] @ rb[:, i0:] for (a, b), (ra, rb) in screens
+    )
+    far_x &= far_y
+    return ~far_x
 
-    ``rows`` and ``cols`` each hold the domain side and then the image
-    side, coordinate-major: arrays of shape (n, R) and (n, C), one row per
-    coordinate, so each pass works on 2-D arrays.  The masks are (R, C),
-    over the separations ``rows[:, i] - cols[:, j]``.  The squared
-    interval and its null band (``lightcone.minkowski``) are summed over
-    the coordinates in the order of the definition, sum_{k<n-1} d_k^2 and
-    then the time term, so every mask and ratio has the bits of the
-    per-pair formula.  Returns both sides, the ``indet`` mask of pairs
-    inside 10x the null band on either side, and the ``mismatch`` mask of
-    pairs null on exactly one side and determinate on both.
-    """
-    x, y = (_side(r, q, m.c ** 2, tol) for r, q in zip(rows, cols))
-    indet = (~x.null & (x.abs_iv <= 10 * x.band)) | (~y.null & (y.abs_iv <= 10 * y.band))
-    return x, y, indet, (x.null != y.null) & ~indet
+
+def _cone_block(s: SampleSet, screens: list, i0: int, i1: int, tol: float):
+    # the pairs i0 <= i < i1 < j that the screen keeps, through the definition:
+    # the violating (i, j) in row-major order, their excess, and two counts
+    near = _near(screens, i0, i1)
+    near[:, : i1 - i0] &= np.arange(i0, i1) > np.arange(i0, i1)[:, None]  # j > i
+    i, j = np.divmod(np.flatnonzero(near), near.shape[1])  # row-major
+    if not len(i):
+        return i, j, np.empty(0), 0, 0
+    i, j, c2 = i + i0, j + i0, s.metric.c ** 2
+    (ax, bx, cx), (ay, by, cy) = (_pair_side(p, i, j, c2, tol) for p in (s.x, s.y))
+    null_x, null_y = ax <= bx, ay <= by
+    indet = (~null_x & (ax <= 10 * bx)) | (~null_y & (ay <= 10 * by))
+    viol = (null_x != null_y) & ~indet
+    with np.errstate(divide="ignore"):  # inf where the band is 0: tol = 0, or it underflows
+        excess = np.where(null_x, ay, ax)[viol] / np.where(null_x, by, bx)[viol]
+    duplicates = np.count_nonzero(cx) + np.count_nonzero(cy)
+    return i[viol], j[viol], excess, int(np.count_nonzero(indet)), int(duplicates)
 
 
 def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeCheck:
     """Test the biconditional "null before iff null after" on every pair.
 
-    Both sides are transposed once to coordinate-major (n, N) arrays.
-    Only the pairs i < j are visited, in blocks of ``_CONE_BLOCK`` rows
-    against every later column, so memory is O(B * N) for B rows per
-    block rather than O(N^2 * n).  The worst pair is the first maximum in
-    row-major order, as over the whole upper triangle at once.
+    Only a pair with |interval| <= 10 bands on one side can count.  Blocks
+    of ``_CONE_BLOCK`` rows against every later column screen for them in
+    O(B * N) memory.  With q = (p - p_0) diag(1, ..., 1, c), S_i = |q_i|^2 and
+    eta = diag(1, ..., 1, -1), two (B, n + 2) @ (n + 2, C) matmuls per side
+    give L = q_i eta q_i + q_j eta q_j - 2 q_i eta q_j, the interval, and
+    R = 10 tol |q_i - q_j|^2 + K (1 + 10 tol) (u (S_i + S_j) + tiny); a pair
+    is dropped only where |L| > R on both sides.  Rounding, with u = 2^-53,
+    in any summation order, with FMA or not: the definition's interval is
+    within (n + 4) u of its scale and its band within (n + 6) u; centring
+    and balancing move both by at most 8 u (S_i + S_j); L errs by at most
+    (3n + 7) u (S_i + S_j), and R falls short by at most 10 tol (3n + 10)
+    u (S_i + S_j).  So every pair the definition counts has |L| <= 10 tol
+    |q_i - q_j|^2 + ((5n + 23) + 10 tol (5n + 30)) u (S_i + S_j), and
+    K = 8 (n + 4) keeps it, tol = 0 included; K tiny (tiny = 2^-1022) covers
+    underflow, gradual or flushed.  SampleSet refuses samples whose sums
+    could overflow; a NaN keeps its pair.  The kept pairs go through the
+    definition itself (``_pair_side``) in row-major order, so the counts,
+    the worst pair (the first maximum) and the bits of ``worst_excess`` do
+    not depend on the BLAS.
     """
     n_pts = len(s)
     if n_pts < 2:
         raise ValueError("need at least two samples")
-    sides = (np.ascontiguousarray(s.x.T), np.ascontiguousarray(s.y.T))
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"cone tolerance must be finite and >= 0, got {tol}")
+    screens = _screens(s, tol)
     violations = indeterminate = duplicates = 0
-    worst_pair = None
-    worst_excess = 0.0
+    worst_pair, worst_excess = None, 0.0
     for i0 in range(0, n_pts - 1, _CONE_BLOCK):
-        i1 = min(i0 + _CONE_BLOCK, n_pts)
-        x, y, indet, mismatch = _cone_masks(
-            [p[:, i0:i1] for p in sides], [p[:, i0:] for p in sides], s.metric, tol
-        )
-        upper = np.arange(i0, n_pts) > np.arange(i0, i1)[:, None]  # j > i
-        viol_mask = mismatch & upper
-        block_violations = int(np.count_nonzero(viol_mask))
-        violations += block_violations
-        indeterminate += int(np.count_nonzero(indet & upper))
-        duplicates += int(np.count_nonzero(x.coincident & upper))
-        duplicates += int(np.count_nonzero(y.coincident & upper))
-        if block_violations:
-            # the violating side's interval in band units, divided only there:
-            # inf where that band is 0 (tol = 0, or tol * scale underflows)
-            excess = np.where(x.null, y.abs_iv, x.abs_iv)
-            with np.errstate(divide="ignore"):
-                np.divide(excess, np.where(x.null, y.band, x.band), out=excess, where=viol_mask)
-            excess[~viol_mask] = -np.inf
-            r, k = np.unravel_index(int(np.argmax(excess)), excess.shape)
-            if worst_pair is None or excess[r, k] > worst_excess:
-                worst_pair = (i0 + int(r), i0 + int(k))
-                worst_excess = float(excess[r, k])
+        i, j, excess, indet, dup = _cone_block(s, screens, i0, min(i0 + _CONE_BLOCK, n_pts), tol)
+        violations += len(excess)
+        indeterminate += indet
+        duplicates += dup
+        if len(excess):
+            k = int(np.argmax(excess))
+            if worst_pair is None or excess[k] > worst_excess:
+                worst_pair, worst_excess = (int(i[k]), int(j[k])), float(excess[k])
 
     return ConeCheck(
         violations=violations,
@@ -390,14 +417,12 @@ def _single_cone_audit(s: SampleSet, cone: ConeCheck, tol: float) -> int:
     """Count pairs violating cone preservation while every pair against
     vertex 0 is clean: for a linear map, preserving the single cone at the
     vertex forces preservation of all of them, so any counterexample
-    witnesses non-linearity.  The masks are symmetric with a false
-    diagonal, so a clean vertex row puts every violation among the other
-    pairs and only that row needs checking."""
+    witnesses non-linearity.  The definition is symmetric in (i, j), so a
+    clean vertex row puts every violation among the other pairs, and only
+    that row, the block 0:1 of the cone check, needs checking."""
     if cone.violations == 0:
         return 0
-    sides = (s.x.T, s.y.T)
-    *_, mismatch = _cone_masks([p[:, :1] for p in sides], sides, s.metric, tol)
-    return 0 if np.any(mismatch) else cone.violations
+    return 0 if len(_cone_block(s, _screens(s, tol), 0, 1, tol)[2]) else cone.violations
 
 
 def recover_lorentz(

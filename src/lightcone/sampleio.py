@@ -58,43 +58,60 @@ def save_samples(path: str, s: SampleSet, seed=None, kind=None) -> None:
     _dump(path, payload)
 
 
+def _number(value, what: str) -> float:
+    if type(value) not in (int, float):  # a JSON number: not a bool, not a string
+        raise SampleFormatError(f"{what} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _indices(t, arity: int | None, what: str) -> tuple[int, ...]:
+    # one marker: a list of JSON integers, of the marker's arity if it has one
+    if type(t) is not list or len(t) != (arity or len(t)) or any(type(i) is not int for i in t):
+        count = arity or "any number of"
+        raise SampleFormatError(f"{what} {t!r} is not a list of {count} integer indices")
+    return tuple(t)
+
+
 def load_samples(path: str) -> tuple[SampleSet, dict]:
     """Read a sample file; returns the SampleSet and a metadata dict with
-    ``seed`` and ``kind``.  Raises SampleFormatError on malformed input."""
+    ``seed`` and ``kind``.  Raises SampleFormatError on malformed input,
+    and OverflowError (a domain error) on samples too large for the cone
+    check."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SampleFormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
+        if not isinstance(payload, dict):
+            raise SampleFormatError(f"top level is a JSON {type(payload).__name__}, not an object")
         if payload.get("format") != FORMAT:
             raise SampleFormatError(
-                f"{path}: unknown format {payload.get('format')!r}, expected {FORMAT!r}"
+                f"unknown format {payload.get('format')!r}, expected {FORMAT!r}"
             )
-        metric = Metric(int(payload["metric"]["n"]), float(payload["metric"]["c"]))
+        n = payload["metric"]["n"]
+        if type(n) is not int:
+            raise SampleFormatError(f"metric n must be a JSON integer, got {n!r}")
+        metric = Metric(n, _number(payload["metric"]["c"], "metric c"))
         pairs = payload["pairs"]
         x = np.array([p["x"] for p in pairs], dtype=float)
         y = np.array([p["y"] for p in pairs], dtype=float)
         markers = payload.get("markers", {})
+        if not isinstance(markers, dict):
+            raise SampleFormatError("markers must be a JSON object")
         axis_grid = None
         if "axis_grid" in markers:
             g = markers["axis_grid"]
             axis_grid = AxisGrid(
-                axis=np.asarray(g["axis"], dtype=float),
-                values=tuple(float(v) for v in g["values"]),
-                indices=tuple(int(i) for i in g["indices"]),
+                axis=np.array([_number(v, "axis-grid axis") for v in g["axis"]]),
+                values=tuple(_number(v, "axis-grid value") for v in g["values"]),
+                indices=_indices(g["indices"], None, "axis-grid indices"),
             )
-        samples = SampleSet(
-            metric=metric,
-            x=x,
-            y=y,
-            collinear=[tuple(t) for t in markers.get("collinear", [])],
-            parallel=[tuple(t) for t in markers.get("parallel", [])],
-            null_pairs=[tuple(t) for t in markers.get("null_pairs", [])],
-            axis_grid=axis_grid,
-        )
-    except SampleFormatError:
-        raise
+        tuples = {
+            key: [_indices(t, arity, f"{key} marker") for t in markers.get(key, [])]
+            for key, arity in (("collinear", 3), ("parallel", 4), ("null_pairs", 2))
+        }
+        samples = SampleSet(metric=metric, x=x, y=y, axis_grid=axis_grid, **tuples)
     except (KeyError, TypeError, ValueError) as exc:
         raise SampleFormatError(f"{path}: malformed sample file ({exc})") from exc
     return samples, {"seed": payload.get("seed"), "kind": payload.get("kind")}

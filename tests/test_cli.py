@@ -192,3 +192,52 @@ def test_classify_outputs():
 
 def test_classify_dimension_mismatch_exit_two():
     assert run_cli("classify", "0,0,0", "1,0,0,1").returncode == 2
+
+
+@pytest.fixture(scope="module")
+def valid_sample_text(tmp_path_factory):
+    f = tmp_path_factory.mktemp("valid") / "lorentz.json"
+    r = run_cli("generate", "--kind", "lorentz", "--num-samples", 40, "--seed", 0, "--out", f)
+    assert r.returncode == 0, r.stderr
+    return f.read_text()
+
+
+def _edited(*keys, value):
+    # the valid file with payload[keys[0]]...[keys[-1]] replaced by value(old)
+    def mutate(text):
+        payload = json.loads(text)
+        target = payload
+        for k in keys[:-1]:
+            target = target[k]
+        target[keys[-1]] = value(target[keys[-1]])
+        return json.dumps(payload).encode()
+    return mutate
+
+
+FILE_FAULTS = {
+    "top-level-list": lambda text: f"[{text}]".encode(),
+    "non-utf-8": lambda text: text.encode().replace(b'"lorentz"', b'"lor\xffentz"'),
+    "collinear-two-indices": _edited("markers", "collinear", 0, value=lambda t: t[:2]),
+    "c-string": _edited("metric", "c", value=lambda c: str(c)),
+    "n-fractional": _edited("metric", "n", value=lambda n: n + 0.5),
+    "null-pair-index-fractional": _edited("markers", "null_pairs", 0, 0, value=lambda i: i + 0.5),
+}
+
+
+@pytest.mark.parametrize("fault", FILE_FAULTS)
+def test_verify_file_fault_exit_one(tmp_path, valid_sample_text, fault):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(FILE_FAULTS[fault](valid_sample_text))
+    r = run_cli("verify", bad)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
+def test_verify_overflowing_samples_exit_two_without_warning(tmp_path, valid_sample_text):
+    # 1e308 - mean is finite, its square is not: a domain error, named before
+    # any arithmetic can warn
+    bad = tmp_path / "huge.json"
+    bad.write_bytes(_edited("pairs", 0, "x", 0, value=lambda v: 1e308)(valid_sample_text))
+    r = run_cli("verify", bad)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("error: samples overflow") and r.stderr.count("\n") == 1, r.stderr

@@ -373,19 +373,23 @@ def test_sampleset_validates_markers():
 # ------------------------------------------- cone check against a pair loop
 
 
-def _reference_cone_check(s, tol):
-    # the pairwise definition written out one pair at a time
-    def side(p, q):
-        d = p - q
-        iv = float(np.sum(d[:-1] ** 2) - s.metric.c ** 2 * d[-1] ** 2)
-        scale = float(np.sum(d[:-1] ** 2)) + float(s.metric.c ** 2 * d[-1] ** 2)
-        return abs(iv), tol * scale, scale == 0.0
+def _reference_side(s, p, q, tol):
+    # the pairwise definition on one side of one pair: |interval|, band,
+    # coincident.  The time leg is squared by a product: ``**`` on a numpy
+    # scalar calls pow(), which can be one ulp off the rounded square.
+    d = p - q
+    iv = float(np.sum(d[:-1] ** 2) - s.metric.c ** 2 * (d[-1] * d[-1]))
+    scale = float(np.sum(d[:-1] ** 2)) + float(s.metric.c ** 2 * (d[-1] * d[-1]))
+    return abs(iv), tol * scale, scale == 0.0
 
+
+def _reference_cone_check(s, tol, with_excess=False):
+    # the pairwise definition written out one pair at a time
     violations = indeterminate = duplicates = 0
     worst_pair, worst_excess = None, 0.0
     for i in range(len(s)):
         for j in range(i + 1, len(s)):
-            (ax, bx, dx), (ay, by, dy) = side(s.x[i], s.x[j]), side(s.y[i], s.y[j])
+            (ax, bx, dx), (ay, by, dy) = (_reference_side(s, p[i], p[j], tol) for p in (s.x, s.y))
             duplicates += dx + dy
             null_x, null_y = ax <= bx, ay <= by
             if (not null_x and ax <= 10 * bx) or (not null_y and ay <= 10 * by):
@@ -396,7 +400,8 @@ def _reference_cone_check(s, tol):
                 excess = num / band if band else math.inf  # band 0: tol = 0, or tol * scale underflows
                 if excess > worst_excess or worst_pair is None:
                     worst_pair, worst_excess = (i, j), excess
-    return violations, indeterminate, duplicates, worst_pair
+    counts = violations, indeterminate, duplicates, worst_pair
+    return counts + (worst_excess,) if with_excess else counts
 
 
 def _repeat_rows(s):
@@ -501,12 +506,78 @@ def test_cone_check_matches_pair_loop_property(s, block, tol):
     assert got == _reference_cone_check(s, tol)
 
 
+@st.composite
+def _screen_boundary_samples(draw):
+    # samples built to sit on the edges of the screen: pairs at (1 -+ 1e-12)
+    # times 10 bands on one side, clouds offset by 1e6 spreads, two tight
+    # clusters far apart, c far from 1, n = 2-6, tol = 0 included
+    n = draw(st.integers(2, 6))
+    size = draw(st.integers(2, 16))
+    c = draw(st.sampled_from((1e-3, 2.99792458e8)))
+    tol = draw(st.sampled_from((0.0, 1e-9, 1e-3)))
+    unit = np.array((1.0,) * (n - 1) + (1.0 / c,))
+    x, y = (draw(arrays(np.float64, (size, n), elements=st.floats(-1, 1))) * unit for _ in range(2))
+    layout = draw(st.sampled_from(("plain", "offset", "clusters")))
+    spread = 1.0
+    if layout == "offset":
+        x += 1e6 * unit
+        y -= 1e6 * unit
+    elif layout == "clusters":
+        spread = 1e-6
+        for p in (x, y):
+            p *= spread
+            p[: size // 2] += unit
+    index = st.integers(0, size - 1)
+    for _ in range(draw(st.integers(1, 4))):
+        # p_j - p_i = (r, dt): |r^2 - c^2 dt^2| = (1 -+ 1e-12) 10 tol (r^2 + c^2 dt^2),
+        # timelike or spacelike
+        i, j = draw(index), draw(index)
+        p = draw(st.sampled_from((x, y)))
+        k = 10 * tol * draw(st.sampled_from((1 - 1e-12, 1 + 1e-12)))
+        ratio = (1 + k) / (1 - k)
+        ratio = draw(st.sampled_from((ratio, 1 / ratio)))
+        u = np.array(draw(st.lists(st.floats(-1, 1), min_size=n - 1, max_size=n - 1).filter(
+            lambda v: np.linalg.norm(v) > 0.1)))
+        dt = spread * draw(st.floats(0.1, 1.0)) / c
+        p[j] = p[i]
+        p[j, :-1] += math.sqrt(ratio) * c * dt * u / np.linalg.norm(u)
+        p[j, -1] += dt
+    return SampleSet(metric=Metric(n, c), x=x, y=y), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_screen_boundary_samples(), block=st.sampled_from((1, 3, 16)))
+def test_cone_check_matches_pair_loop_at_screen_boundaries(case, block):
+    s, tol = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recover, "_CONE_BLOCK", block)
+        res = check_cone_preservation(s, tol)
+    *counts, excess = _reference_cone_check(s, tol, with_excess=True)
+    got = (res.violations, res.indeterminate, res.bijectivity_violations, res.worst_pair)
+    assert got == tuple(counts)
+    assert float(res.worst_excess).hex() == float(excess).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_screen_boundary_samples())
+def test_screen_keeps_every_near_pair(case):
+    # near: |interval| <= 10 bands on one side at least, by the definition
+    s, tol = case
+    kept = recover._near(recover._screens(s, tol), 0, len(s))
+    for i in range(len(s)):
+        for j in range(i + 1, len(s)):
+            sides = (_reference_side(s, p[i], p[j], tol) for p in (s.x, s.y))
+            if any(a <= 10 * b for a, b, _ in sides):
+                assert kept[i, j], (i, j)
+
+
 def test_cone_check_worst_pair_tie_across_blocks():
     # rows repeating the worst violating pair give later pairs, in later
-    # blocks, of exactly the same excess; the earliest pair must win
+    # blocks, of exactly the same excess; the earliest pair must win.  Its row
+    # lies in the first block, the appended pair's row 80 in a later one.
     s, _ = make_samples(GenerateConfig(kind="cubing", num_samples=80, seed=3))
     first = check_cone_preservation(s)
-    assert first.worst_pair is not None and first.worst_pair[1] < recover._CONE_BLOCK
+    assert first.worst_pair is not None and first.worst_pair[0] < recover._CONE_BLOCK <= 80
     i, j = first.worst_pair
     s.x = np.vstack([s.x, s.x[i], s.x[j]])
     s.y = np.vstack([s.y, s.y[i], s.y[j]])
@@ -520,9 +591,8 @@ def test_cone_check_worst_pair_tie_across_blocks():
     assert check_cone_preservation(tail).worst_excess == first.worst_excess
 
 
-def test_cone_check_memory_is_row_blocked():
-    # the full N x N x n tensors took 343 MiB traced at N = 2000
-    s, _ = lorentz_set(num_samples=2000)
+def _cone_check_traced_peak(n_pts):
+    s, _ = lorentz_set(num_samples=n_pts)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -531,7 +601,18 @@ def test_cone_check_memory_is_row_blocked():
     finally:
         tracemalloc.stop()
     assert res.violations == 0
-    assert peak <= 34 * 2 ** 20
+    return peak
+
+
+def test_cone_check_memory_is_row_blocked():
+    # the full N x N x n tensors took 343 MiB traced at N = 2000, the
+    # coordinate-major masks 10.6 MiB
+    assert _cone_check_traced_peak(2000) <= 4 * 2 ** 20
+
+
+def test_cone_check_memory_is_row_blocked_at_ten_thousand():
+    # the coordinate-major masks took 54 MiB traced at N = 10^4
+    assert _cone_check_traced_peak(10_000) <= 16 * 2 ** 20
 
 
 def test_single_cone_audit_counts_counterexamples():
