@@ -79,7 +79,7 @@ class AffineLorentzMap:
             raise ValueError(
                 f"translation has shape {self.a.shape}, expected ({self.L.shape[0]},)"
             )
-        if not np.isfinite(self.alpha) or self.alpha == 0:
+        if not math.isfinite(self.alpha) or self.alpha == 0:
             raise ValueError(f"alpha must be nonzero and finite, got {self.alpha}")
         if self.alpha < 0:
             self.alpha = -self.alpha
@@ -124,7 +124,7 @@ def general_boost(p: BoostParams, alpha: float) -> np.ndarray:
     """Boost matrix before the scale factor is pinned down:
     alpha * gamma * (boost core).  ``alpha = scale_factor(v, c)`` recovers
     the normalized boost."""
-    if alpha == 0 or not np.isfinite(alpha):
+    if alpha == 0 or not math.isfinite(alpha):
         raise ValueError(f"alpha must be nonzero and finite, got {alpha}")
     return alpha * gamma(p.v, p.c) * boost_x(p).L
 
@@ -175,6 +175,9 @@ def _balanced_gram(M: np.ndarray, m: Metric):
     # proportionality M^T eta M = lam * eta is exactly equivalent to
     # (D M D^-1)^T eta1 (D M D^-1) = lam * eta1 but without the c^2
     # amplification of floating-point noise in near-zero entries.
+    M = np.asarray(M, dtype=float)  # the one check of a public matrix argument
+    if M.shape != (m.n, m.n):
+        raise ValueError(f"matrix has shape {M.shape}, expected ({m.n}, {m.n})")
     d = np.ones(m.n)
     d[-1] = m.c
     Mb = (d[:, None] * M) / d[None, :]
@@ -182,18 +185,23 @@ def _balanced_gram(M: np.ndarray, m: Metric):
     eta1[-1, -1] = -1.0
     G = Mb.T @ eta1 @ Mb
     S = np.abs(Mb).T @ np.abs(Mb)  # |eta1| is the identity pattern
-    return G, S, eta1
+    return M, G, S, eta1
+
+
+def _median(xs: list) -> float:
+    # np.median by sorting, the same IEEE operations: NaN if any is NaN, else the
+    # mean of the middle one or two, which numpy sums from 0.0 (-0.0 becomes 0.0)
+    xs, k = sorted(xs), len(xs) // 2
+    mid = 0.0 + xs[k] if len(xs) % 2 else (0.0 + xs[k - 1] + xs[k]) / 2
+    return math.nan if any(x != x for x in xs) else mid
 
 
 def is_isometry(L, m: Metric, tol: float = 1e-9) -> bool:
     """True iff L^T eta L = eta entrywise, relative to the magnitude of the
     products forming each entry (evaluated in the metric-balanced frame)."""
-    L = np.asarray(L, dtype=float)
-    if L.shape != (m.n, m.n):
-        raise ValueError(f"matrix has shape {L.shape}, expected ({m.n}, {m.n})")
-    G, S, eta1 = _balanced_gram(L, m)
+    _, G, S, eta1 = _balanced_gram(L, m)
     scale = np.maximum(1.0, S)
-    return bool(np.all(np.abs(G - eta1) <= tol * scale))
+    return bool((np.abs(G - eta1) <= tol * scale).all())
 
 
 def decompose_conformal(M, m: Metric, tol: float = 1e-9) -> tuple[float, np.ndarray]:
@@ -204,13 +212,10 @@ def decompose_conformal(M, m: Metric, tol: float = 1e-9) -> tuple[float, np.ndar
     noise.  Raises NotConformalError when the Gram matrix is not
     proportional to eta, SignatureError when the factor is non-positive.
     """
-    M = np.asarray(M, dtype=float)
-    if M.shape != (m.n, m.n):
-        raise ValueError(f"matrix has shape {M.shape}, expected ({m.n}, {m.n})")
-    G, S, eta1 = _balanced_gram(M, m)
-    lam = float(np.median(np.diag(G) / np.diag(eta1)))
+    M, G, S, eta1 = _balanced_gram(M, m)
+    lam = _median((np.diag(G) / np.diag(eta1)).tolist())
     scale = np.maximum(1.0, np.maximum(S, abs(lam)))
-    if not np.all(np.abs(G - lam * eta1) <= tol * scale):
+    if not (np.abs(G - lam * eta1) <= tol * scale).all():
         worst = float(np.max(np.abs(G - lam * eta1) / scale))
         raise NotConformalError(
             f"M^T eta M is not proportional to eta (worst relative deviation {worst:.3e})"

@@ -10,20 +10,12 @@ the classifiers work in any dimension >= 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import (
-    DEFAULT_TOL,
-    CausalClass,
-    Metric,
-    abs_inner,
-    as_event,
-    classify,
-    inner,
-    interval,
-)
+from .minkowski import DEFAULT_TOL, CausalClass, Metric, _abs_inner, _classify, _inner, as_event
 
 
 @dataclass(frozen=True)
@@ -49,38 +41,45 @@ class Plane:
     causal_class: CausalClass
 
 
+def _norm(x) -> np.float64:
+    x = np.asarray(x).ravel()  # np.linalg.norm's own formula and type, without its dispatch
+    return np.float64(math.sqrt(x.dot(x)))
+
+
+def _cross(a, b) -> np.ndarray:
+    # np.cross's formula in Python floats: its IEEE operations without its ~20 us of dispatch
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def line_through(point, direction, m: Metric, tol: float = DEFAULT_TOL) -> Line:
-    point = as_event(point, m)
-    direction = as_event(direction, m)
-    if not np.any(direction != 0):
+    point, direction = as_event(point, m), as_event(direction, m)
+    if not direction.any():
         raise ValueError("line direction must be nonzero")
-    cls = classify(direction, np.zeros(m.n), m, tol)
-    return Line(point, direction, cls)
+    return Line(point, direction, _classify(direction, m.c, tol))
 
 
 def classify_span(u, v, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
     """Causal class of the plane spanned by u and v via the sign of the
     Gram determinant: zero -> null, negative -> timelike, positive ->
     spacelike."""
-    u = as_event(u, m)
-    v = as_event(v, m)
+    u, v = as_event(u, m), as_event(v, m)
     # independence is a Euclidean question, not a metric one: a null plane
     # has zero metric Gram determinant with a perfectly independent span
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    nu, nv = _norm(u), _norm(v)
     if nu == 0 or nv == 0 or abs(float(np.dot(u, v))) >= nu * nv * (1.0 - 1e-12):
         raise ValueError("span vectors are linearly dependent")
-    guu, gvv, guv = inner(u, u, m), inner(v, v, m), inner(u, v, m)
+    guu, gvv, guv = _inner(u, u, m.c), _inner(v, v, m.c), _inner(u, v, m.c)
     det = guu * gvv - guv * guv
-    scale = abs_inner(u, u, m) * abs_inner(v, v, m) + abs_inner(u, v, m) ** 2
+    scale = _abs_inner(u, u, m.c) * _abs_inner(v, v, m.c) + _abs_inner(u, v, m.c) ** 2
     if abs(det) <= tol * scale:
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if det < 0 else CausalClass.SPACELIKE
 
 
 def plane_through(point, u, v, m: Metric, tol: float = DEFAULT_TOL) -> Plane:
-    point = as_event(point, m)
-    cls = classify_span(u, v, m, tol)
-    return Plane(point, (as_event(u, m), as_event(v, m)), cls)
+    point, u, v = as_event(point, m), as_event(u, m), as_event(v, m)
+    return Plane(point, (u, v), classify_span(u, v, m, tol))
 
 
 def classify_plane(p: Plane, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
@@ -94,8 +93,8 @@ def point_on_line(p, l: Line, tol: float = DEFAULT_TOL) -> bool:
     w = p - l.point
     d = l.direction
     t = float(np.dot(w, d) / np.dot(d, d))
-    resid = float(np.linalg.norm(w - t * d))
-    scale = max(1.0, float(np.linalg.norm(w)), float(np.linalg.norm(d)))
+    resid = float(_norm(w - t * d))
+    scale = max(1.0, float(_norm(w)), float(_norm(d)))
     return resid <= tol * scale
 
 
@@ -103,7 +102,7 @@ def same_line(l1: Line, l2: Line, tol: float = 1e-9) -> bool:
     """Equality as point sets: probe each line at parameters {-1, 0, +1}
     of its unit direction and require the probes to lie on the other."""
     for a, b in ((l1, l2), (l2, l1)):
-        d = b.direction / np.linalg.norm(b.direction)
+        d = b.direction / _norm(b.direction)
         for t in (-1.0, 0.0, 1.0):
             if not point_on_line(b.point + t * d, a, tol):
                 return False
@@ -117,15 +116,15 @@ def tangent_cone_intersection(a, b, m: Metric, tol: float = DEFAULT_TOL) -> Line
     and then they intersect in the single line through a with direction
     b - a.
     """
-    a = as_event(a, m)
-    b = as_event(b, m)
-    if np.array_equal(a, b):
+    a, b = as_event(a, m), as_event(b, m)
+    if a.tolist() == b.tolist():
         raise ValueError("degenerate: the two vertices coincide")
-    if classify(a, b, m, tol) is not CausalClass.LIGHTLIKE:
+    d = b - a  # exactly -(a - b), so its class and interval are those of (a, b)
+    if _classify(d, m.c, tol) is not CausalClass.LIGHTLIKE:
         raise ValueError(
-            f"cones are not tangent: interval(a, b) = {interval(a, b, m):.6g} != 0"
+            f"cones are not tangent: interval(a, b) = {_inner(d, d, m.c):.6g} != 0"
         )
-    return Line(a, b - a, CausalClass.LIGHTLIKE)
+    return Line(a, d, CausalClass.LIGHTLIKE)
 
 
 def null_plane_through(l: Line, m: Metric) -> Plane:
@@ -150,9 +149,9 @@ def on_null_plane_algebraic(p, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> 
     inner(p - l.point, l.direction) = 0."""
     if l.causal_class is not CausalClass.LIGHTLIKE:
         raise ValueError("line is not null")
-    w = as_event(p, m) - l.point
-    b = inner(w, l.direction, m)
-    return abs(b) <= tol * abs_inner(w, l.direction, m)
+    w = as_event(as_event(p, m) - l.point, m)
+    d = as_event(l.direction, m)
+    return abs(_inner(w, d, m.c)) <= tol * _abs_inner(w, d, m.c)
 
 
 def on_null_plane_by_characterization(
@@ -169,35 +168,31 @@ def on_null_plane_by_characterization(
     """
     if l.causal_class is not CausalClass.LIGHTLIKE:
         raise ValueError("line is not null")
-    w = as_event(p, m) - l.point
-    d = l.direction
-    q = inner(w, w, m)
-    b = inner(w, d, m)
-    if abs(b) > tol * abs_inner(w, d, m):
-        # some cone with vertex l.at(q / (2 b)) passes through p
+    w = as_event(as_event(p, m) - l.point, m)
+    d = as_event(l.direction, m)
+    if abs(_inner(w, d, m.c)) > tol * _abs_inner(w, d, m.c):
+        # some cone with vertex l.at(Q / (2 B)) passes through p
         return False
-    if abs(q) <= tol * abs_inner(w, w, m):
-        # w is null and orthogonal to the null direction, hence parallel
-        # to it: p lies on l
-        return True
-    # Q - 2 t B = Q != 0 for every t: no cone with vertex on l reaches p
+    # B = 0: if Q = 0 too, w is null and orthogonal to the null direction, hence
+    # parallel to it, and p lies on l; else Q - 2 t B = Q != 0 for every t, and no
+    # cone with vertex on l reaches p
     return True
 
 
 def _euclid_normal(p: Plane) -> np.ndarray:
     if p.point.shape != (3,):
         raise ValueError("plane intersection is implemented for n = 3")
-    nvec = np.cross(p.span[0], p.span[1])
-    return nvec
+    u, v = (np.asarray(s, dtype=float) for s in p.span)
+    return _cross(u, v) if u.shape == v.shape == (3,) else np.cross(u, v)  # refuses others
 
 
 def intersect_planes(p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL) -> Line:
     """Intersection line of two distinct, non-parallel planes in R^3."""
     n1 = _euclid_normal(p1)
     n2 = _euclid_normal(p2)
-    d = np.cross(n1, n2)
-    scale = float(np.linalg.norm(n1) * np.linalg.norm(n2))
-    if np.linalg.norm(d) <= tol * max(1.0, scale):
+    d = _cross(n1, n2)
+    scale = float(_norm(n1) * _norm(n2))
+    if _norm(d) <= tol * max(1.0, scale):
         raise ValueError("planes are parallel or identical: no unique line")
     A = np.vstack([n1, n2])
     rhs = np.array([float(np.dot(n1, p1.point)), float(np.dot(n2, p2.point))])
@@ -221,17 +216,17 @@ def plane_through_lines(l1: Line, l2: Line, m: Metric, tol: float = DEFAULT_TOL)
     """The unique plane containing two lines that intersect in exactly one
     point.  Rebuilds timelike planes out of null / spacelike line pairs."""
     d1, d2 = l1.direction, l2.direction
-    n1, n2 = np.linalg.norm(d1), np.linalg.norm(d2)
+    n1, n2 = _norm(d1), _norm(d2)
     u1, u2 = d1 / n1, d2 / n2
-    sin_angle = float(np.linalg.norm(u1 - float(np.dot(u1, u2)) * u2))
+    sin_angle = float(_norm(u1 - float(np.dot(u1, u2)) * u2))
     if sin_angle <= tol:
         raise ValueError("lines are parallel or collinear: no unique plane")
     A = np.stack([d1, -d2], axis=1)
     rhs = l2.point - l1.point
     ts, *_ = np.linalg.lstsq(A, rhs, rcond=None)
     meet = l1.at(float(ts[0]))
-    resid = float(np.linalg.norm(A @ ts - rhs))
-    if resid > tol * max(1.0, float(np.linalg.norm(rhs)), n1, n2):
+    resid = float(_norm(A @ ts - rhs))
+    if resid > tol * max(1.0, float(_norm(rhs)), n1, n2):
         raise ValueError("lines do not intersect (skew)")
     return plane_through(meet, d1, d2, m, tol)
 

@@ -15,11 +15,17 @@ replaced by the one null band of the package: a metric product
 separation d the scale is ``|d_space|^2 + c^2 d_t^2``, with no floor: an exact
 zero (a vertex on its own cone) is null as 0 <= 0, and neither rescaling the
 events nor trading the time unit against ``c`` changes a class.
+
+Public names check, private kernels trust: each public function checks every
+argument once (events with :func:`as_event`), then calls ``_inner``,
+``_abs_inner`` and ``_classify``, the one definition of the form, its scale
+and the null band, on the checked arrays.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +57,7 @@ class Metric:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.n}")
-        if not (np.isfinite(self.c) and self.c > 0):
+        if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"invariant speed must be positive and finite, got {self.c}")
 
     def matrix(self) -> np.ndarray:
@@ -62,13 +68,32 @@ class Metric:
 
 
 def as_event(e, m: Metric) -> np.ndarray:
-    """Coerce ``e`` to a finite float vector of length ``m.n``."""
+    """Coerce ``e`` to a finite float vector of length ``m.n``: the one event
+    check, made by public names; the private kernels trust its result."""
     arr = np.asarray(e, dtype=float)
     if arr.shape != (m.n,):
         raise ValueError(f"event has shape {arr.shape}, expected ({m.n},)")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError("event has non-finite components")
     return arr
+
+
+def _inner(r, s, c: float) -> float:
+    return float(np.dot(r[:-1], s[:-1]) - c ** 2 * (r[-1] * s[-1]))
+
+
+def _abs_inner(r, s, c: float) -> float:
+    return float(np.dot(np.abs(r[:-1]), np.abs(s[:-1])) + c ** 2 * (abs(r[-1]) * abs(s[-1])))
+
+
+def _classify(d, c: float, tol: float) -> CausalClass:
+    if tol < 0:
+        raise ValueError("tolerance must be >= 0")
+    space, time = float(np.dot(d[:-1], d[:-1])), c ** 2 * float(d[-1] * d[-1])
+    iv = space - time
+    if abs(iv) <= tol * (space + time):
+        return CausalClass.LIGHTLIKE
+    return CausalClass.SPACELIKE if iv > 0 else CausalClass.TIMELIKE
 
 
 def inner(r, s, m: Metric) -> float:
@@ -77,9 +102,7 @@ def inner(r, s, m: Metric) -> float:
     Bilinear and symmetric; the time product is formed before scaling by
     c^2 so that the result is bitwise symmetric in (r, s).
     """
-    r = as_event(r, m)
-    s = as_event(s, m)
-    return float(np.dot(r[:-1], s[:-1]) - m.c ** 2 * (r[-1] * s[-1]))
+    return _inner(as_event(r, m), as_event(s, m), m.c)
 
 
 def abs_inner(r, s, m: Metric) -> float:
@@ -89,28 +112,21 @@ def abs_inner(r, s, m: Metric) -> float:
     the inner product can only be trusted down to roughly
     ``eps * abs_inner``.
     """
-    r = np.abs(as_event(r, m))
-    s = np.abs(as_event(s, m))
-    return float(np.dot(r[:-1], s[:-1]) + m.c ** 2 * (r[-1] * s[-1]))
+    return _abs_inner(as_event(r, m), as_event(s, m), m.c)
 
 
 def interval(r, s, m: Metric) -> float:
     """Squared interval inner(r - s, r - s) of the separation."""
     d = as_event(r, m) - as_event(s, m)
-    return float(np.dot(d[:-1], d[:-1]) - m.c ** 2 * (d[-1] * d[-1]))
+    return _inner(d, d, m.c)
 
 
 def classify(r, s, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
     """Causal class of the pair (r, s): the sign of ``interval(r, s)``,
     with the null band of the module docstring."""
-    if tol < 0:
+    if tol < 0:  # refused before the events, as _classify refuses it for its other callers
         raise ValueError("tolerance must be >= 0")
-    d = as_event(r, m) - as_event(s, m)
-    space, time = float(np.dot(d[:-1], d[:-1])), m.c ** 2 * float(d[-1] * d[-1])
-    iv = space - time
-    if abs(iv) <= tol * (space + time):
-        return CausalClass.LIGHTLIKE
-    return CausalClass.SPACELIKE if iv > 0 else CausalClass.TIMELIKE
+    return _classify(as_event(r, m) - as_event(s, m), m.c, tol)
 
 
 def on_null_cone(p, vertex, m: Metric, tol: float = DEFAULT_TOL) -> bool:

@@ -22,6 +22,7 @@ the v and -v maps invert each other) assembles exactly the boost matrix of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class RadarScenario:
 
     def __post_init__(self):
         check_velocity(self.v, self.c)
-        if not (np.isfinite(self.delta_xbar) and self.delta_xbar > 0):
+        if not (math.isfinite(self.delta_xbar) and self.delta_xbar > 0):
             raise ValueError(f"mirror separation must be positive, got {self.delta_xbar}")
 
 
@@ -98,7 +99,7 @@ def _xprime(xbar, v, c, alpha):
 
 
 def _yzprime(y_or_z, v, c, alpha):
-    return alpha * y_or_z / np.sqrt(1.0 - (v / c) ** 2)
+    return alpha * y_or_z / math.sqrt(1.0 - (v / c) ** 2)
 
 
 def light_clock(sc: RadarScenario) -> RadarTimeline:
@@ -144,8 +145,7 @@ def derive_map(v: float, c: float = 1.0) -> AffineLorentzMap:
     check_velocity(v, c)
     alpha = scale_factor(v, c)
     L = np.zeros((4, 4))
-    for j in range(4):
-        x, y, z, t = np.eye(4)[j]
+    for j, (x, y, z, t) in enumerate(np.eye(4)):
         xbar = comoving(x, t, v)
         L[0, j] = _xprime(xbar, v, c, alpha)
         L[1, j] = _yzprime(y, v, c, alpha)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -59,8 +60,8 @@ def save_samples(path: str, s: SampleSet, seed=None, kind=None) -> None:
 
 
 def _number(value, what: str) -> float:
-    if type(value) not in (int, float):  # a JSON number: not a bool, not a string
-        raise SampleFormatError(f"{what} must be a JSON number, got {value!r}")
+    if type(value) not in (int, float) or not math.isfinite(value):  # not a bool, str, 1e400
+        raise SampleFormatError(f"{what} must be a finite JSON number, got {value!r}")
     return float(value)
 
 
@@ -79,7 +80,8 @@ def load_samples(path: str) -> tuple[SampleSet, dict]:
     check."""
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            # an integer of 300 digits or more reads as a float (inf past the float range)
+            payload = json.load(fh, parse_int=lambda s: int(s) if len(s) < 300 else float(s))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SampleFormatError(f"{path}: not valid JSON ({exc})") from exc
     try:
@@ -93,9 +95,11 @@ def load_samples(path: str) -> tuple[SampleSet, dict]:
         if type(n) is not int:
             raise SampleFormatError(f"metric n must be a JSON integer, got {n!r}")
         metric = Metric(n, _number(payload["metric"]["c"], "metric c"))
-        pairs = payload["pairs"]
-        x = np.array([p["x"] for p in pairs], dtype=float)
-        y = np.array([p["y"] for p in pairs], dtype=float)
+        rows = [[p[key] for p in payload["pairs"]] for key in "xy"]
+        # JSON numbers only: np.array alone would read "1" and true as 1.0
+        if not set(map(type, chain.from_iterable(chain(*rows)))) <= {int, float}:
+            raise SampleFormatError("coordinates must be JSON numbers")
+        x, y = (np.array(r, dtype=float) for r in rows)
         markers = payload.get("markers", {})
         if not isinstance(markers, dict):
             raise SampleFormatError("markers must be a JSON object")

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -221,6 +222,13 @@ FILE_FAULTS = {
     "c-string": _edited("metric", "c", value=lambda c: str(c)),
     "n-fractional": _edited("metric", "n", value=lambda n: n + 0.5),
     "null-pair-index-fractional": _edited("markers", "null_pairs", 0, 0, value=lambda i: i + 0.5),
+    "c-beyond-float": _edited("metric", "c", value=lambda c: 10 ** 400),
+    "x-coordinate-string": _edited("pairs", 0, "x", 0, value=lambda v: "1"),
+    "y-coordinate-true": _edited("pairs", 1, "y", 1, value=lambda v: True),
+    "coordinate-beyond-float": _edited("pairs", 2, "x", 3, value=lambda v: -10 ** 400),
+    "c-too-long-to-parse": lambda text: text.replace('"c": 1.0', '"c": ' + "9" * 5000).encode(),
+    "axis-value-beyond-float": _edited("markers", "axis_grid", "values", 0, value=lambda v: 10 ** 400),
+    "axis-component-infinite": _edited("markers", "axis_grid", "axis", 0, value=lambda v: math.inf),
 }
 
 

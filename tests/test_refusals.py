@@ -1,0 +1,659 @@
+"""Refusal parity of the scalar geometry kernel.
+
+Each public function checks its arguments once, at its boundary, and then
+runs private kernels that trust them.  This table pins what every such
+boundary does with a bad argument: wrong shape, NaN and +-inf in each
+position, hand-built lines and planes with bad fields, negative tolerances
+and out-of-range scalars.  Each row must raise the exception type and
+message (or return the value) recorded in ``EXPECTED``, which was taken
+from the kernel before its checks moved to the boundary.
+
+The Python float forms that replaced numpy calls on 3-vectors and a few
+ratios (``cones._cross``, ``boost._median``) must equal those calls bit
+for bit.
+"""
+
+import dataclasses
+import enum
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from lightcone import boost, cones, minkowski, radar
+from lightcone.boost import AffineLorentzMap, BoostParams, NotConformalError
+from lightcone.cones import Line, Plane
+from lightcone.minkowski import CausalClass, Metric
+
+C = 2.0
+M3, M4 = Metric(3, C), Metric(4, C)
+CC = CausalClass
+
+R4 = np.array([1.0, 2.0, 3.0, 4.0])
+S4 = np.array([0.5, -1.0, 2.0, 0.25])
+O3 = np.array([0.5, -0.25, 0.75])
+DN = np.array([2.0, 0.0, 1.0])  # null at c = 2: 2^2 = c^2 * 1^2
+UX, UY, UT = np.eye(3)
+NULL_LINE = Line(O3, DN, CC.LIGHTLIKE)
+SPACE_LINE = Line(O3 + np.array([0.0, 2.5, 0.0]), UY, CC.SPACELIKE)
+D1, D2 = np.array([0.0, 2.0, 1.0]), np.array([0.0, -2.0, 1.0])
+P1 = Plane(O3, (D1, np.array([-2.0, 0.0, 0.0])), CC.LIGHTLIKE)
+P2 = Plane(O3, (D2, np.array([2.0, 0.0, 0.0])), CC.LIGHTLIKE)
+B = boost.boost_x(BoostParams(0.6 * C, C)).L
+MAP = AffineLorentzMap(1.5, B, R4)
+FAULTS = ("shape", "nan", "+inf", "-inf")
+
+
+def _bad(e, fault):
+    e = np.array(e, dtype=float)
+    if fault == "shape":
+        return np.append(e, 0.0)
+    e.flat[-1] = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}[fault]
+    return e
+
+
+def _line(l, field, fault):
+    return dataclasses.replace(l, **{field: _bad(getattr(l, field), fault)})
+
+
+def _plane(p, field, fault):
+    if field == "point":
+        return dataclasses.replace(p, point=_bad(p.point, fault))
+    span = list(p.span)
+    span[field] = _bad(span[field], fault)
+    return dataclasses.replace(p, span=tuple(span))
+
+
+def _rows():
+    rows = {}
+
+    def events(name, fn, args, tail=()):
+        # each event argument in turn replaced by each fault
+        for i in range(len(args)):
+            for fault in FAULTS:
+                bad = list(args)
+                bad[i] = _bad(args[i], fault)
+                rows[f"{name}[arg{i}-{fault}]"] = (fn, (*bad, *tail))
+
+    for name in ("inner", "abs_inner", "interval", "classify", "on_null_cone"):
+        events(f"minkowski.{name}", getattr(minkowski, name), (R4, S4), (M4,))
+    rows["minkowski.classify[tol]"] = (minkowski.classify, (R4, S4, M4, -1e-9))
+    rows["minkowski.on_null_cone[tol]"] = (minkowski.on_null_cone, (R4, S4, M4, -1e-9))
+    # two faults at once: classify refuses the tol first, line_through the zero direction
+    rows["minkowski.classify[tol-and-shape]"] = (minkowski.classify, (np.ones(3), S4, M4, -1e-9))
+    rows["minkowski.as_event[list-shape]"] = (minkowski.as_event, ([1, 2, 3], M4))
+    for c in (0.0, -1.0, math.nan, math.inf):
+        rows[f"minkowski.Metric[c={c}]"] = (Metric, (4, c))
+    for n in (1, 2.5):
+        rows[f"minkowski.Metric[n={n}]"] = (Metric, (n, 1.0))
+
+    events("cones.line_through", cones.line_through, (O3, DN), (M3,))
+    rows["cones.line_through[zero]"] = (cones.line_through, (O3, np.zeros(3), M3))
+    rows["cones.line_through[tol]"] = (cones.line_through, (O3, DN, M3, -1e-9))
+    rows["cones.line_through[tol-and-zero]"] = (cones.line_through, (O3, np.zeros(3), M3, -1e-9))
+    events("cones.classify_span", cones.classify_span, (UX, UT), (M3,))
+    rows["cones.classify_span[dependent]"] = (cones.classify_span, (UX, 2 * UX, M3))
+    rows["cones.classify_span[zero]"] = (cones.classify_span, (UX, np.zeros(3), M3))
+    rows["cones.classify_span[tol]"] = (cones.classify_span, (UX, UT, M3, -1e-9))
+    events("cones.plane_through", cones.plane_through, (O3, UX, UT), (M3,))
+    rows["cones.plane_through[tol]"] = (cones.plane_through, (O3, UX, UT, M3, -1e-9))
+    timelike = Plane(O3, (UX, UT), CC.TIMELIKE)
+    for field in (0, 1):
+        for fault in FAULTS:
+            rows[f"cones.classify_plane[span{field}-{fault}]"] = (
+                cones.classify_plane, (_plane(timelike, field, fault), M3))
+    rows["cones.classify_plane[tol]"] = (cones.classify_plane, (timelike, M3, -1e-9))
+    events("cones.tangent_cone_intersection", cones.tangent_cone_intersection, (O3, O3 + DN), (M3,))
+    rows["cones.tangent_cone_intersection[same]"] = (cones.tangent_cone_intersection, (O3, O3, M3))
+    rows["cones.tangent_cone_intersection[not-null]"] = (
+        cones.tangent_cone_intersection, (O3, O3 + UX, M3))
+    rows["cones.tangent_cone_intersection[tol]"] = (
+        cones.tangent_cone_intersection, (O3, O3 + DN, M3, -1e-9))
+
+    on_plane = O3 + DN + 3.0 * UY
+    for name in ("on_null_plane_algebraic", "on_null_plane_by_characterization"):
+        fn = getattr(cones, name)
+        for fault in FAULTS:
+            rows[f"cones.{name}[p-{fault}]"] = (fn, (_bad(on_plane, fault), NULL_LINE, M3))
+            for field in ("point", "direction"):
+                rows[f"cones.{name}[line-{field}-{fault}]"] = (
+                    fn, (on_plane, _line(NULL_LINE, field, fault), M3))
+        rows[f"cones.{name}[not-null]"] = (fn, (on_plane, SPACE_LINE, M3))
+        rows[f"cones.{name}[tol]"] = (fn, (on_plane, NULL_LINE, M3, -1e-9))
+
+    for name in ("intersect_planes", "intersect_null_planes"):
+        fn = getattr(cones, name)
+        for which in (0, 1):
+            for field in ("point", 0, 1):
+                for fault in FAULTS:
+                    planes = [P1, P2]
+                    planes[which] = _plane(planes[which], field, fault)
+                    rows[f"cones.{name}[plane{which}-{field}-{fault}]"] = (fn, (*planes, M3))
+        rows[f"cones.{name}[parallel]"] = (fn, (P1, P1, M3))
+        rows[f"cones.{name}[tol]"] = (fn, (P1, P2, M3, -1e-9))
+    rows["cones.intersect_null_planes[timelike]"] = (
+        cones.intersect_null_planes, (P1, Plane(O3, (UX, UT), CC.TIMELIKE), M3))
+
+    for which in (0, 1):
+        for field in ("point", "direction"):
+            for fault in FAULTS:
+                lines = [NULL_LINE, SPACE_LINE]
+                lines[which] = _line(lines[which], field, fault)
+                rows[f"cones.plane_through_lines[line{which}-{field}-{fault}]"] = (
+                    cones.plane_through_lines, (*lines, M3))
+    rows["cones.plane_through_lines[parallel]"] = (
+        cones.plane_through_lines, (NULL_LINE, Line(O3 + UY, 2 * DN, CC.LIGHTLIKE), M3))
+    rows["cones.plane_through_lines[skew]"] = (
+        cones.plane_through_lines, (NULL_LINE, Line(O3 + UT, UY, CC.SPACELIKE), M3))
+    rows["cones.plane_through_lines[tol]"] = (
+        cones.plane_through_lines, (NULL_LINE, SPACE_LINE, M3, -1e-9))
+
+    for shape, bad in (("3x3", np.eye(3)), ("4", np.ones(4)), ("4x5", np.ones((4, 5)))):
+        rows[f"boost.is_isometry[shape-{shape}]"] = (boost.is_isometry, (bad, M4))
+        rows[f"boost.decompose_conformal[shape-{shape}]"] = (boost.decompose_conformal, (bad, M4))
+    for fault in FAULTS[1:]:
+        for at in ((0, 0), (3, 3), (0, 3), (3, 0)):
+            bad = 1.5 * B
+            bad[at] = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf}[fault]
+            rows[f"boost.decompose_conformal[{fault}@{at[0]},{at[1]}]"] = (
+                boost.decompose_conformal, (bad, M4))
+            rows[f"boost.is_isometry[{fault}@{at[0]},{at[1]}]"] = (boost.is_isometry, (bad, M4))
+    shear = np.eye(4)
+    shear[0, 1] = 0.5
+    rows["boost.decompose_conformal[shear]"] = (boost.decompose_conformal, (shear, M4))
+    for alpha in (0.0, math.nan, math.inf, -math.inf):
+        rows[f"boost.AffineLorentzMap[alpha={alpha}]"] = (AffineLorentzMap, (alpha, B, R4))
+        rows[f"boost.general_boost[alpha={alpha}]"] = (
+            boost.general_boost, (BoostParams(0.6 * C, C), alpha))
+    rows["boost.AffineLorentzMap[L-shape]"] = (AffineLorentzMap, (1.0, np.ones((4, 3)), R4))
+    rows["boost.AffineLorentzMap[a-shape]"] = (AffineLorentzMap, (1.0, B, np.ones(3)))
+    rows["boost.apply[shape]"] = (boost.apply, (MAP, np.ones(3)))
+    rows["boost.compose[dims]"] = (boost.compose, (MAP, boost.identity_map(3)))
+    singular = AffineLorentzMap(1.0, np.zeros((4, 4)), R4)
+    rows["boost.inverse[singular]"] = (boost.inverse, (singular,))
+
+    for v, c in ((C, C), (-C, C), (math.nan, C), (math.inf, C), (0.5, 0.0), (0.5, math.nan),
+                 (0.5, math.inf), (0.5, -1.0)):
+        rows[f"boost.BoostParams[v={v},c={c}]"] = (BoostParams, (v, c))
+        rows[f"radar.derive_map[v={v},c={c}]"] = (radar.derive_map, (v, c))
+        rows[f"radar.RadarScenario[v={v},c={c}]"] = (radar.RadarScenario, (v, c))
+        rows[f"radar.tprime[v={v},c={c}]"] = (radar.tprime, (1.0, 2.0, v, c))
+        rows[f"radar.xprime[v={v},c={c}]"] = (radar.xprime, (1.0, v, c))
+        rows[f"radar.yzprime[v={v},c={c}]"] = (radar.yzprime, (1.0, v, c))
+    for dx in (0.0, -1.0, math.nan, math.inf):
+        rows[f"radar.RadarScenario[delta_xbar={dx}]"] = (radar.RadarScenario, (0.5, 1.0, dx))
+    return rows
+
+
+ROWS = _rows()
+
+
+def _outcome(fn, args):
+    """("raises", type, message), or ("returns", value) for a bool, class or
+    float result and ("returns", None) for any other.
+
+    numpy's floating-point warnings are off: the contract is the exception.
+    (Python float arithmetic, as in ``cones._cross``, raises no such warning
+    where numpy's does on an infinite span.)"""
+    with np.errstate(all="ignore"):
+        try:
+            got = fn(*args)
+        except Exception as exc:
+            return ("raises", type(exc).__name__, str(exc))
+    if isinstance(got, (bool, float)):
+        return ("returns", repr(got))
+    if isinstance(got, enum.Enum):
+        return ("returns", got.name)
+    return ("returns", None)
+
+
+NON_FINITE = ('raises', 'ValueError', 'event has non-finite components')
+SHAPE_4_NOT_3 = ('raises', 'ValueError', 'event has shape (4,), expected (3,)')
+SHAPE_5_NOT_4 = ('raises', 'ValueError', 'event has shape (5,), expected (4,)')
+NO_SVD = ('raises', 'LinAlgError', 'SVD did not converge in Linear Least Squares')
+NOT_CONFORMAL_NAN = (
+    'raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation nan)')
+NEGATIVE_TOL = ('raises', 'ValueError', 'tolerance must be >= 0')
+NOT_CROSSABLE = (
+    'raises', 'ValueError', 'incompatible dimensions for cross product\n(dimension must be 2 or 3)')
+V_IS_C = ('raises', 'ValueError', 'degenerate velocity: |v|=2.0 must be < c=2.0')
+FALSE = ('returns', 'False')
+
+#: Each row's outcome, taken by _outcome from the kernel before its checks moved.
+EXPECTED = {
+    'boost.AffineLorentzMap[L-shape]':
+        ('raises', 'ValueError', 'L must be square, got shape (4, 3)'),
+    'boost.AffineLorentzMap[a-shape]':
+        ('raises', 'ValueError', 'translation has shape (3,), expected (4,)'),
+    'boost.AffineLorentzMap[alpha=-inf]':
+        ('raises', 'ValueError', 'alpha must be nonzero and finite, got -inf'),
+    'boost.AffineLorentzMap[alpha=0.0]':
+        ('raises', 'ValueError', 'alpha must be nonzero and finite, got 0.0'),
+    'boost.AffineLorentzMap[alpha=inf]':
+        ('raises', 'ValueError', 'alpha must be nonzero and finite, got inf'),
+    'boost.AffineLorentzMap[alpha=nan]':
+        ('raises', 'ValueError', 'alpha must be nonzero and finite, got nan'),
+    'boost.BoostParams[v=-2.0,c=2.0]': V_IS_C,
+    'boost.BoostParams[v=0.5,c=-1.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
+    'boost.BoostParams[v=0.5,c=0.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'boost.BoostParams[v=0.5,c=inf]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
+    'boost.BoostParams[v=0.5,c=nan]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
+    'boost.BoostParams[v=2.0,c=2.0]': V_IS_C,
+    'boost.BoostParams[v=inf,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
+    'boost.BoostParams[v=nan,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
+    'boost.apply[shape]': ('raises', 'ValueError', 'event has shape (3,), expected (4,)'),
+    'boost.compose[dims]': ('raises', 'ValueError', 'dimension mismatch: 4 vs 3'),
+    'boost.decompose_conformal[+inf@0,0]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[+inf@0,3]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[+inf@3,0]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[+inf@3,3]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[-inf@0,0]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[-inf@0,3]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[-inf@3,0]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[-inf@3,3]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[nan@0,0]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[nan@0,3]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[nan@3,0]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[nan@3,3]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[shape-3x3]':
+        ('raises', 'ValueError', 'matrix has shape (3, 3), expected (4, 4)'),
+    'boost.decompose_conformal[shape-4]':
+        ('raises', 'ValueError', 'matrix has shape (4,), expected (4, 4)'),
+    'boost.decompose_conformal[shape-4x5]':
+        ('raises', 'ValueError', 'matrix has shape (4, 5), expected (4, 4)'),
+    'boost.decompose_conformal[shear]':
+        ('raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation 5.000e-01)'),
+    'boost.general_boost[alpha=-inf]':
+        ('raises', 'ValueError', 'alpha must be nonzero and finite, got -inf'),
+    'boost.general_boost[alpha=0.0]':
+        ('raises', 'ValueError', 'alpha must be nonzero and finite, got 0.0'),
+    'boost.general_boost[alpha=inf]':
+        ('raises', 'ValueError', 'alpha must be nonzero and finite, got inf'),
+    'boost.general_boost[alpha=nan]':
+        ('raises', 'ValueError', 'alpha must be nonzero and finite, got nan'),
+    'boost.inverse[singular]':
+        ('raises', 'ValueError', 'singular linear part; map is not invertible'),
+    'boost.is_isometry[+inf@0,0]': FALSE,
+    'boost.is_isometry[+inf@0,3]': FALSE,
+    'boost.is_isometry[+inf@3,0]': FALSE,
+    'boost.is_isometry[+inf@3,3]': FALSE,
+    'boost.is_isometry[-inf@0,0]': FALSE,
+    'boost.is_isometry[-inf@0,3]': FALSE,
+    'boost.is_isometry[-inf@3,0]': FALSE,
+    'boost.is_isometry[-inf@3,3]': FALSE,
+    'boost.is_isometry[nan@0,0]': FALSE,
+    'boost.is_isometry[nan@0,3]': FALSE,
+    'boost.is_isometry[nan@3,0]': FALSE,
+    'boost.is_isometry[nan@3,3]': FALSE,
+    'boost.is_isometry[shape-3x3]':
+        ('raises', 'ValueError', 'matrix has shape (3, 3), expected (4, 4)'),
+    'boost.is_isometry[shape-4]':
+        ('raises', 'ValueError', 'matrix has shape (4,), expected (4, 4)'),
+    'boost.is_isometry[shape-4x5]':
+        ('raises', 'ValueError', 'matrix has shape (4, 5), expected (4, 4)'),
+    'cones.classify_plane[span0-+inf]': NON_FINITE,
+    'cones.classify_plane[span0--inf]': NON_FINITE,
+    'cones.classify_plane[span0-nan]': NON_FINITE,
+    'cones.classify_plane[span0-shape]': SHAPE_4_NOT_3,
+    'cones.classify_plane[span1-+inf]': NON_FINITE,
+    'cones.classify_plane[span1--inf]': NON_FINITE,
+    'cones.classify_plane[span1-nan]': NON_FINITE,
+    'cones.classify_plane[span1-shape]': SHAPE_4_NOT_3,
+    'cones.classify_plane[tol]': ('returns', 'TIMELIKE'),
+    'cones.classify_span[arg0-+inf]': NON_FINITE,
+    'cones.classify_span[arg0--inf]': NON_FINITE,
+    'cones.classify_span[arg0-nan]': NON_FINITE,
+    'cones.classify_span[arg0-shape]': SHAPE_4_NOT_3,
+    'cones.classify_span[arg1-+inf]': NON_FINITE,
+    'cones.classify_span[arg1--inf]': NON_FINITE,
+    'cones.classify_span[arg1-nan]': NON_FINITE,
+    'cones.classify_span[arg1-shape]': SHAPE_4_NOT_3,
+    'cones.classify_span[dependent]':
+        ('raises', 'ValueError', 'span vectors are linearly dependent'),
+    'cones.classify_span[tol]': ('returns', 'TIMELIKE'),
+    'cones.classify_span[zero]': ('raises', 'ValueError', 'span vectors are linearly dependent'),
+    'cones.intersect_null_planes[parallel]':
+        ('raises', 'ValueError', 'planes are parallel or identical: no unique line'),
+    'cones.intersect_null_planes[plane0-0-+inf]': NO_SVD,
+    'cones.intersect_null_planes[plane0-0--inf]': NO_SVD,
+    'cones.intersect_null_planes[plane0-0-nan]': NO_SVD,
+    'cones.intersect_null_planes[plane0-0-shape]': NOT_CROSSABLE,
+    'cones.intersect_null_planes[plane0-1-+inf]': NO_SVD,
+    'cones.intersect_null_planes[plane0-1--inf]': NO_SVD,
+    'cones.intersect_null_planes[plane0-1-nan]': NO_SVD,
+    'cones.intersect_null_planes[plane0-1-shape]': NOT_CROSSABLE,
+    'cones.intersect_null_planes[plane0-point-+inf]': NON_FINITE,
+    'cones.intersect_null_planes[plane0-point--inf]': NON_FINITE,
+    'cones.intersect_null_planes[plane0-point-nan]': NON_FINITE,
+    'cones.intersect_null_planes[plane0-point-shape]':
+        ('raises', 'ValueError', 'plane intersection is implemented for n = 3'),
+    'cones.intersect_null_planes[plane1-0-+inf]': NO_SVD,
+    'cones.intersect_null_planes[plane1-0--inf]': NO_SVD,
+    'cones.intersect_null_planes[plane1-0-nan]': NO_SVD,
+    'cones.intersect_null_planes[plane1-0-shape]': NOT_CROSSABLE,
+    'cones.intersect_null_planes[plane1-1-+inf]': NO_SVD,
+    'cones.intersect_null_planes[plane1-1--inf]': NO_SVD,
+    'cones.intersect_null_planes[plane1-1-nan]': NO_SVD,
+    'cones.intersect_null_planes[plane1-1-shape]': NOT_CROSSABLE,
+    'cones.intersect_null_planes[plane1-point-+inf]': NON_FINITE,
+    'cones.intersect_null_planes[plane1-point--inf]': NON_FINITE,
+    'cones.intersect_null_planes[plane1-point-nan]': NON_FINITE,
+    'cones.intersect_null_planes[plane1-point-shape]':
+        ('raises', 'ValueError', 'plane intersection is implemented for n = 3'),
+    'cones.intersect_null_planes[timelike]': ('raises', 'ValueError', 'second plane is not null'),
+    'cones.intersect_null_planes[tol]': NEGATIVE_TOL,
+    'cones.intersect_planes[parallel]':
+        ('raises', 'ValueError', 'planes are parallel or identical: no unique line'),
+    'cones.intersect_planes[plane0-0-+inf]': NO_SVD,
+    'cones.intersect_planes[plane0-0--inf]': NO_SVD,
+    'cones.intersect_planes[plane0-0-nan]': NO_SVD,
+    'cones.intersect_planes[plane0-0-shape]': NOT_CROSSABLE,
+    'cones.intersect_planes[plane0-1-+inf]': NO_SVD,
+    'cones.intersect_planes[plane0-1--inf]': NO_SVD,
+    'cones.intersect_planes[plane0-1-nan]': NO_SVD,
+    'cones.intersect_planes[plane0-1-shape]': NOT_CROSSABLE,
+    'cones.intersect_planes[plane0-point-+inf]': NON_FINITE,
+    'cones.intersect_planes[plane0-point--inf]': NON_FINITE,
+    'cones.intersect_planes[plane0-point-nan]': NON_FINITE,
+    'cones.intersect_planes[plane0-point-shape]':
+        ('raises', 'ValueError', 'plane intersection is implemented for n = 3'),
+    'cones.intersect_planes[plane1-0-+inf]': NO_SVD,
+    'cones.intersect_planes[plane1-0--inf]': NO_SVD,
+    'cones.intersect_planes[plane1-0-nan]': NO_SVD,
+    'cones.intersect_planes[plane1-0-shape]': NOT_CROSSABLE,
+    'cones.intersect_planes[plane1-1-+inf]': NO_SVD,
+    'cones.intersect_planes[plane1-1--inf]': NO_SVD,
+    'cones.intersect_planes[plane1-1-nan]': NO_SVD,
+    'cones.intersect_planes[plane1-1-shape]': NOT_CROSSABLE,
+    'cones.intersect_planes[plane1-point-+inf]': NON_FINITE,
+    'cones.intersect_planes[plane1-point--inf]': NON_FINITE,
+    'cones.intersect_planes[plane1-point-nan]': NON_FINITE,
+    'cones.intersect_planes[plane1-point-shape]':
+        ('raises', 'ValueError', 'plane intersection is implemented for n = 3'),
+    'cones.intersect_planes[tol]': NEGATIVE_TOL,
+    'cones.line_through[arg0-+inf]': NON_FINITE,
+    'cones.line_through[arg0--inf]': NON_FINITE,
+    'cones.line_through[arg0-nan]': NON_FINITE,
+    'cones.line_through[arg0-shape]': SHAPE_4_NOT_3,
+    'cones.line_through[arg1-+inf]': NON_FINITE,
+    'cones.line_through[arg1--inf]': NON_FINITE,
+    'cones.line_through[arg1-nan]': NON_FINITE,
+    'cones.line_through[arg1-shape]': SHAPE_4_NOT_3,
+    'cones.line_through[tol]': NEGATIVE_TOL,
+    'cones.line_through[tol-and-zero]': ('raises', 'ValueError', 'line direction must be nonzero'),
+    'cones.line_through[zero]': ('raises', 'ValueError', 'line direction must be nonzero'),
+    'cones.on_null_plane_algebraic[line-direction-+inf]': NON_FINITE,
+    'cones.on_null_plane_algebraic[line-direction--inf]': NON_FINITE,
+    'cones.on_null_plane_algebraic[line-direction-nan]': NON_FINITE,
+    'cones.on_null_plane_algebraic[line-direction-shape]': SHAPE_4_NOT_3,
+    'cones.on_null_plane_algebraic[line-point-+inf]': NON_FINITE,
+    'cones.on_null_plane_algebraic[line-point--inf]': NON_FINITE,
+    'cones.on_null_plane_algebraic[line-point-nan]': NON_FINITE,
+    'cones.on_null_plane_algebraic[line-point-shape]':
+        ('raises', 'ValueError', 'operands could not be broadcast together with shapes (3,) (4,) '),
+    'cones.on_null_plane_algebraic[not-null]': ('raises', 'ValueError', 'line is not null'),
+    'cones.on_null_plane_algebraic[p-+inf]': NON_FINITE,
+    'cones.on_null_plane_algebraic[p--inf]': NON_FINITE,
+    'cones.on_null_plane_algebraic[p-nan]': NON_FINITE,
+    'cones.on_null_plane_algebraic[p-shape]': SHAPE_4_NOT_3,
+    'cones.on_null_plane_algebraic[tol]': FALSE,
+    'cones.on_null_plane_by_characterization[line-direction-+inf]': NON_FINITE,
+    'cones.on_null_plane_by_characterization[line-direction--inf]': NON_FINITE,
+    'cones.on_null_plane_by_characterization[line-direction-nan]': NON_FINITE,
+    'cones.on_null_plane_by_characterization[line-direction-shape]': SHAPE_4_NOT_3,
+    'cones.on_null_plane_by_characterization[line-point-+inf]': NON_FINITE,
+    'cones.on_null_plane_by_characterization[line-point--inf]': NON_FINITE,
+    'cones.on_null_plane_by_characterization[line-point-nan]': NON_FINITE,
+    'cones.on_null_plane_by_characterization[line-point-shape]':
+        ('raises', 'ValueError', 'operands could not be broadcast together with shapes (3,) (4,) '),
+    'cones.on_null_plane_by_characterization[not-null]':
+        ('raises', 'ValueError', 'line is not null'),
+    'cones.on_null_plane_by_characterization[p-+inf]': NON_FINITE,
+    'cones.on_null_plane_by_characterization[p--inf]': NON_FINITE,
+    'cones.on_null_plane_by_characterization[p-nan]': NON_FINITE,
+    'cones.on_null_plane_by_characterization[p-shape]': SHAPE_4_NOT_3,
+    'cones.on_null_plane_by_characterization[tol]': FALSE,
+    'cones.plane_through[arg0-+inf]': NON_FINITE,
+    'cones.plane_through[arg0--inf]': NON_FINITE,
+    'cones.plane_through[arg0-nan]': NON_FINITE,
+    'cones.plane_through[arg0-shape]': SHAPE_4_NOT_3,
+    'cones.plane_through[arg1-+inf]': NON_FINITE,
+    'cones.plane_through[arg1--inf]': NON_FINITE,
+    'cones.plane_through[arg1-nan]': NON_FINITE,
+    'cones.plane_through[arg1-shape]': SHAPE_4_NOT_3,
+    'cones.plane_through[arg2-+inf]': NON_FINITE,
+    'cones.plane_through[arg2--inf]': NON_FINITE,
+    'cones.plane_through[arg2-nan]': NON_FINITE,
+    'cones.plane_through[arg2-shape]': SHAPE_4_NOT_3,
+    'cones.plane_through[tol]': ('returns', None),
+    'cones.plane_through_lines[line0-direction-+inf]': NO_SVD,
+    'cones.plane_through_lines[line0-direction--inf]': NO_SVD,
+    'cones.plane_through_lines[line0-direction-nan]': NO_SVD,
+    'cones.plane_through_lines[line0-direction-shape]':
+        ('raises', 'ValueError', 'shapes (4,) and (3,) not aligned: 4 (dim 0) != 3 (dim 0)'),
+    'cones.plane_through_lines[line0-point-+inf]': NON_FINITE,
+    'cones.plane_through_lines[line0-point--inf]': NON_FINITE,
+    'cones.plane_through_lines[line0-point-nan]': NON_FINITE,
+    'cones.plane_through_lines[line0-point-shape]':
+        ('raises', 'ValueError', 'operands could not be broadcast together with shapes (3,) (4,) '),
+    'cones.plane_through_lines[line1-direction-+inf]': NO_SVD,
+    'cones.plane_through_lines[line1-direction--inf]': NO_SVD,
+    'cones.plane_through_lines[line1-direction-nan]': NO_SVD,
+    'cones.plane_through_lines[line1-direction-shape]':
+        ('raises', 'ValueError', 'shapes (3,) and (4,) not aligned: 3 (dim 0) != 4 (dim 0)'),
+    'cones.plane_through_lines[line1-point-+inf]': NON_FINITE,
+    'cones.plane_through_lines[line1-point--inf]': NON_FINITE,
+    'cones.plane_through_lines[line1-point-nan]': NON_FINITE,
+    'cones.plane_through_lines[line1-point-shape]':
+        ('raises', 'ValueError', 'operands could not be broadcast together with shapes (4,) (3,) '),
+    'cones.plane_through_lines[parallel]':
+        ('raises', 'ValueError', 'lines are parallel or collinear: no unique plane'),
+    'cones.plane_through_lines[skew]': ('raises', 'ValueError', 'lines do not intersect (skew)'),
+    'cones.plane_through_lines[tol]': ('raises', 'ValueError', 'lines do not intersect (skew)'),
+    'cones.tangent_cone_intersection[arg0-+inf]': NON_FINITE,
+    'cones.tangent_cone_intersection[arg0--inf]': NON_FINITE,
+    'cones.tangent_cone_intersection[arg0-nan]': NON_FINITE,
+    'cones.tangent_cone_intersection[arg0-shape]': SHAPE_4_NOT_3,
+    'cones.tangent_cone_intersection[arg1-+inf]': NON_FINITE,
+    'cones.tangent_cone_intersection[arg1--inf]': NON_FINITE,
+    'cones.tangent_cone_intersection[arg1-nan]': NON_FINITE,
+    'cones.tangent_cone_intersection[arg1-shape]': SHAPE_4_NOT_3,
+    'cones.tangent_cone_intersection[not-null]':
+        ('raises', 'ValueError', 'cones are not tangent: interval(a, b) = 1 != 0'),
+    'cones.tangent_cone_intersection[same]':
+        ('raises', 'ValueError', 'degenerate: the two vertices coincide'),
+    'cones.tangent_cone_intersection[tol]': NEGATIVE_TOL,
+    'minkowski.Metric[c=-1.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
+    'minkowski.Metric[c=0.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'minkowski.Metric[c=inf]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
+    'minkowski.Metric[c=nan]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
+    'minkowski.Metric[n=1]': ('raises', 'ValueError', 'dimension must be an integer >= 2, got 1'),
+    'minkowski.Metric[n=2.5]':
+        ('raises', 'ValueError', 'dimension must be an integer >= 2, got 2.5'),
+    'minkowski.abs_inner[arg0-+inf]': NON_FINITE,
+    'minkowski.abs_inner[arg0--inf]': NON_FINITE,
+    'minkowski.abs_inner[arg0-nan]': NON_FINITE,
+    'minkowski.abs_inner[arg0-shape]': SHAPE_5_NOT_4,
+    'minkowski.abs_inner[arg1-+inf]': NON_FINITE,
+    'minkowski.abs_inner[arg1--inf]': NON_FINITE,
+    'minkowski.abs_inner[arg1-nan]': NON_FINITE,
+    'minkowski.abs_inner[arg1-shape]': SHAPE_5_NOT_4,
+    'minkowski.as_event[list-shape]':
+        ('raises', 'ValueError', 'event has shape (3,), expected (4,)'),
+    'minkowski.classify[arg0-+inf]': NON_FINITE,
+    'minkowski.classify[arg0--inf]': NON_FINITE,
+    'minkowski.classify[arg0-nan]': NON_FINITE,
+    'minkowski.classify[arg0-shape]': SHAPE_5_NOT_4,
+    'minkowski.classify[arg1-+inf]': NON_FINITE,
+    'minkowski.classify[arg1--inf]': NON_FINITE,
+    'minkowski.classify[arg1-nan]': NON_FINITE,
+    'minkowski.classify[arg1-shape]': SHAPE_5_NOT_4,
+    'minkowski.classify[tol]': NEGATIVE_TOL,
+    'minkowski.classify[tol-and-shape]': NEGATIVE_TOL,
+    'minkowski.inner[arg0-+inf]': NON_FINITE,
+    'minkowski.inner[arg0--inf]': NON_FINITE,
+    'minkowski.inner[arg0-nan]': NON_FINITE,
+    'minkowski.inner[arg0-shape]': SHAPE_5_NOT_4,
+    'minkowski.inner[arg1-+inf]': NON_FINITE,
+    'minkowski.inner[arg1--inf]': NON_FINITE,
+    'minkowski.inner[arg1-nan]': NON_FINITE,
+    'minkowski.inner[arg1-shape]': SHAPE_5_NOT_4,
+    'minkowski.interval[arg0-+inf]': NON_FINITE,
+    'minkowski.interval[arg0--inf]': NON_FINITE,
+    'minkowski.interval[arg0-nan]': NON_FINITE,
+    'minkowski.interval[arg0-shape]': SHAPE_5_NOT_4,
+    'minkowski.interval[arg1-+inf]': NON_FINITE,
+    'minkowski.interval[arg1--inf]': NON_FINITE,
+    'minkowski.interval[arg1-nan]': NON_FINITE,
+    'minkowski.interval[arg1-shape]': SHAPE_5_NOT_4,
+    'minkowski.on_null_cone[arg0-+inf]': NON_FINITE,
+    'minkowski.on_null_cone[arg0--inf]': NON_FINITE,
+    'minkowski.on_null_cone[arg0-nan]': NON_FINITE,
+    'minkowski.on_null_cone[arg0-shape]': SHAPE_5_NOT_4,
+    'minkowski.on_null_cone[arg1-+inf]': NON_FINITE,
+    'minkowski.on_null_cone[arg1--inf]': NON_FINITE,
+    'minkowski.on_null_cone[arg1-nan]': NON_FINITE,
+    'minkowski.on_null_cone[arg1-shape]': SHAPE_5_NOT_4,
+    'minkowski.on_null_cone[tol]': NEGATIVE_TOL,
+    'radar.RadarScenario[delta_xbar=-1.0]':
+        ('raises', 'ValueError', 'mirror separation must be positive, got -1.0'),
+    'radar.RadarScenario[delta_xbar=0.0]':
+        ('raises', 'ValueError', 'mirror separation must be positive, got 0.0'),
+    'radar.RadarScenario[delta_xbar=inf]':
+        ('raises', 'ValueError', 'mirror separation must be positive, got inf'),
+    'radar.RadarScenario[delta_xbar=nan]':
+        ('raises', 'ValueError', 'mirror separation must be positive, got nan'),
+    'radar.RadarScenario[v=-2.0,c=2.0]': V_IS_C,
+    'radar.RadarScenario[v=0.5,c=-1.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
+    'radar.RadarScenario[v=0.5,c=0.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'radar.RadarScenario[v=0.5,c=inf]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
+    'radar.RadarScenario[v=0.5,c=nan]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
+    'radar.RadarScenario[v=2.0,c=2.0]': V_IS_C,
+    'radar.RadarScenario[v=inf,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
+    'radar.RadarScenario[v=nan,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
+    'radar.derive_map[v=-2.0,c=2.0]': V_IS_C,
+    'radar.derive_map[v=0.5,c=-1.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
+    'radar.derive_map[v=0.5,c=0.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'radar.derive_map[v=0.5,c=inf]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
+    'radar.derive_map[v=0.5,c=nan]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
+    'radar.derive_map[v=2.0,c=2.0]': V_IS_C,
+    'radar.derive_map[v=inf,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
+    'radar.derive_map[v=nan,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
+    'radar.tprime[v=-2.0,c=2.0]': V_IS_C,
+    'radar.tprime[v=0.5,c=-1.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
+    'radar.tprime[v=0.5,c=0.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'radar.tprime[v=0.5,c=inf]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
+    'radar.tprime[v=0.5,c=nan]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
+    'radar.tprime[v=2.0,c=2.0]': V_IS_C,
+    'radar.tprime[v=inf,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
+    'radar.tprime[v=nan,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
+    'radar.xprime[v=-2.0,c=2.0]': V_IS_C,
+    'radar.xprime[v=0.5,c=-1.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
+    'radar.xprime[v=0.5,c=0.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'radar.xprime[v=0.5,c=inf]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
+    'radar.xprime[v=0.5,c=nan]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
+    'radar.xprime[v=2.0,c=2.0]': V_IS_C,
+    'radar.xprime[v=inf,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
+    'radar.xprime[v=nan,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
+    'radar.yzprime[v=-2.0,c=2.0]': V_IS_C,
+    'radar.yzprime[v=0.5,c=-1.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
+    'radar.yzprime[v=0.5,c=0.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'radar.yzprime[v=0.5,c=inf]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
+    'radar.yzprime[v=0.5,c=nan]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
+    'radar.yzprime[v=2.0,c=2.0]': V_IS_C,
+    'radar.yzprime[v=inf,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
+    'radar.yzprime[v=nan,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
+}
+
+
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_refusal_parity(row):
+    fn, args = ROWS[row]
+    assert _outcome(fn, args) == EXPECTED[row]
+
+
+def _bits(values):
+    # bit patterns, with every NaN alike
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+_floats = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan]),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_floats, min_size=6, max_size=6))
+@example([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+@example([-0.0, 0.0, -0.0, 0.0, -0.0, 0.0])
+@example([1e200, 1e200, 1e200, -1e200, 1e200, 1e200])
+def test_cross_is_np_cross_bit_for_bit(xs):
+    a, b = np.array(xs[:3]), np.array(xs[3:])
+    with np.errstate(all="ignore"):
+        assert _bits(cones._cross(a, b)) == _bits(np.cross(a, b))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_floats, min_size=1, max_size=6))
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([-0.0, 0.0, -0.0])
+@example([2.0, 2.0, 1.0, 2.0])
+@example([math.inf, -math.inf])
+@example([1e308, 1e308])
+@example([1.0, math.nan, 2.0, 3.0])
+def test_median_is_np_median_bit_for_bit(xs):
+    with np.errstate(all="ignore"):
+        assert _bits(boost._median(list(xs))) == _bits(np.median(np.array(xs)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_decompose_refuses_every_non_finite_entry(value):
+    # a NaN ratio must reach the conformal test, not be sorted past
+    for i in range(4):
+        for j in range(4):
+            bad = 1.5 * B
+            bad[i, j] = value
+            with np.errstate(all="ignore"), pytest.raises(NotConformalError):
+                boost.decompose_conformal(bad, M4)
