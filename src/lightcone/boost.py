@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import Metric
+from .minkowski import Metric, _frame
 
 #: Velocities with |v| >= c * (1 - VELOCITY_MARGIN) are rejected: gamma diverges.
 VELOCITY_MARGIN = 1e-12
@@ -170,17 +170,17 @@ def inverse(m: AffineLorentzMap) -> AffineLorentzMap:
 
 
 def _balanced_gram(M: np.ndarray, m: Metric):
-    # Conjugating by D = diag(1, ..., 1, c) turns the metric into the unit
-    # signature diag(1, ..., 1, -1) and keeps boost entries O(gamma); the
-    # proportionality M^T eta M = lam * eta is exactly equivalent to
+    # Conjugating by the balanced frame D (lightcone.minkowski) turns the metric
+    # into the unit signature diag(1, ..., 1, -1) and keeps boost entries O(gamma);
+    # the proportionality M^T eta M = lam * eta is exactly equivalent to
     # (D M D^-1)^T eta1 (D M D^-1) = lam * eta1 but without the c^2
     # amplification of floating-point noise in near-zero entries.
     M = np.asarray(M, dtype=float)  # the one check of a public matrix argument
     if M.shape != (m.n, m.n):
         raise ValueError(f"matrix has shape {M.shape}, expected ({m.n}, {m.n})")
-    d = np.ones(m.n)
-    d[-1] = m.c
-    Mb = (d[:, None] * M) / d[None, :]
+    Mb = _frame(_frame(M.T, m.c).T, 1 / m.c)  # D M D^-1
+    if not all(map(math.isfinite, Mb.ravel().tolist())):  # NaN is refused quietly, inf * 0 warns
+        Mb = np.full_like(Mb, math.nan)
     eta1 = np.eye(m.n)
     eta1[-1, -1] = -1.0
     G = Mb.T @ eta1 @ Mb

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import DEFAULT_TOL, CausalClass, Metric, _abs_inner, _classify, _inner, as_event
+from .minkowski import (DEFAULT_TOL, CausalClass, Metric, _abs_inner, _classify, _frame, _inner,
+                        _line_distance, _sine, as_event)
 
 
 @dataclass(frozen=True)
@@ -63,15 +64,17 @@ def classify_span(u, v, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
     """Causal class of the plane spanned by u and v via the sign of the
     Gram determinant: zero -> null, negative -> timelike, positive ->
     spacelike."""
-    u, v = as_event(u, m), as_event(v, m)
+    return _classify_span(as_event(u, m), as_event(v, m), m.c, tol)
+
+
+def _classify_span(u, v, c: float, tol: float) -> CausalClass:
     # independence is a Euclidean question, not a metric one: a null plane
     # has zero metric Gram determinant with a perfectly independent span
-    nu, nv = _norm(u), _norm(v)
-    if nu == 0 or nv == 0 or abs(float(np.dot(u, v))) >= nu * nv * (1.0 - 1e-12):
+    if _sine(_frame(u, c), _frame(v, c)) <= 1e-6:
         raise ValueError("span vectors are linearly dependent")
-    guu, gvv, guv = _inner(u, u, m.c), _inner(v, v, m.c), _inner(u, v, m.c)
+    guu, gvv, guv = _inner(u, u, c), _inner(v, v, c), _inner(u, v, c)
     det = guu * gvv - guv * guv
-    scale = _abs_inner(u, u, m.c) * _abs_inner(v, v, m.c) + _abs_inner(u, v, m.c) ** 2
+    scale = _abs_inner(u, u, c) * _abs_inner(v, v, c) + _abs_inner(u, v, c) ** 2
     if abs(det) <= tol * scale:
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if det < 0 else CausalClass.SPACELIKE
@@ -79,7 +82,7 @@ def classify_span(u, v, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
 
 def plane_through(point, u, v, m: Metric, tol: float = DEFAULT_TOL) -> Plane:
     point, u, v = as_event(point, m), as_event(u, m), as_event(v, m)
-    return Plane(point, (u, v), classify_span(u, v, m, tol))
+    return Plane(point, (u, v), _classify_span(u, v, m.c, tol))
 
 
 def classify_plane(p: Plane, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
@@ -87,15 +90,10 @@ def classify_plane(p: Plane, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass
 
 
 def point_on_line(p, l: Line, tol: float = DEFAULT_TOL) -> bool:
-    """Euclidean distance from p to the line is within tol, relative to
-    the offset and direction magnitudes."""
-    p = np.asarray(p, dtype=float)
-    w = p - l.point
-    d = l.direction
-    t = float(np.dot(w, d) / np.dot(d, d))
-    resid = float(_norm(w - t * d))
-    scale = max(1.0, float(_norm(w)), float(_norm(d)))
-    return resid <= tol * scale
+    """Euclidean distance from p to the line is within tol, relative to the
+    largest side of the triangle (l.point, l.point + l.direction, p).  A line
+    carries no metric, so the coordinates are taken as they are."""
+    return _line_distance(np.asarray(p, dtype=float) - l.point, l.direction) <= tol
 
 
 def same_line(l1: Line, l2: Line, tol: float = 1e-9) -> bool:
@@ -164,19 +162,11 @@ def on_null_plane_by_characterization(
     With w = p - l.point, Q = inner(w, w) and B = inner(w, d), the interval
     from p to the point of l at parameter t is Q - 2 t B (the t^2 term
     vanishes because d is null).  A vertex through p therefore exists iff
-    B != 0, at t = Q / (2 B).
+    B != 0, at t = Q / (2 B).  If B = 0 = Q, w is null and orthogonal to d, so
+    p is on l; if B = 0 != Q, no such cone reaches p.  So it is B = 0, the
+    linear equation of ``on_null_plane_algebraic``.
     """
-    if l.causal_class is not CausalClass.LIGHTLIKE:
-        raise ValueError("line is not null")
-    w = as_event(as_event(p, m) - l.point, m)
-    d = as_event(l.direction, m)
-    if abs(_inner(w, d, m.c)) > tol * _abs_inner(w, d, m.c):
-        # some cone with vertex l.at(Q / (2 B)) passes through p
-        return False
-    # B = 0: if Q = 0 too, w is null and orthogonal to the null direction, hence
-    # parallel to it, and p lies on l; else Q - 2 t B = Q != 0 for every t, and no
-    # cone with vertex on l reaches p
-    return True
+    return on_null_plane_algebraic(p, l, m, tol)
 
 
 def _euclid_normal(p: Plane) -> np.ndarray:
@@ -187,17 +177,16 @@ def _euclid_normal(p: Plane) -> np.ndarray:
 
 
 def intersect_planes(p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL) -> Line:
-    """Intersection line of two distinct, non-parallel planes in R^3."""
-    n1 = _euclid_normal(p1)
-    n2 = _euclid_normal(p2)
-    d = _cross(n1, n2)
-    scale = float(_norm(n1) * _norm(n2))
-    if _norm(d) <= tol * max(1.0, scale):
+    """Intersection line of two distinct, non-parallel planes in R^3.  The
+    parallel test and the least-squares point are taken in the balanced
+    frame, where the plane n . x = h has the normal n D^-1."""
+    n1, n2 = _euclid_normal(p1), _euclid_normal(p2)
+    A = _frame(np.vstack([n1, n2]), 1 / m.c)
+    if _sine(A[0], A[1]) <= tol:
         raise ValueError("planes are parallel or identical: no unique line")
-    A = np.vstack([n1, n2])
     rhs = np.array([float(np.dot(n1, p1.point)), float(np.dot(n2, p2.point))])
-    point = np.linalg.lstsq(A, rhs, rcond=None)[0]
-    return line_through(point, d, m, tol)
+    point = _frame(np.linalg.lstsq(A, rhs, rcond=None)[0], 1 / m.c)
+    return line_through(point, _cross(n1, n2), m, tol)
 
 
 def intersect_null_planes(
@@ -214,21 +203,18 @@ def intersect_null_planes(
 
 def plane_through_lines(l1: Line, l2: Line, m: Metric, tol: float = DEFAULT_TOL) -> Plane:
     """The unique plane containing two lines that intersect in exactly one
-    point.  Rebuilds timelike planes out of null / spacelike line pairs."""
-    d1, d2 = l1.direction, l2.direction
-    n1, n2 = _norm(d1), _norm(d2)
-    u1, u2 = d1 / n1, d2 / n2
-    sin_angle = float(_norm(u1 - float(np.dot(u1, u2)) * u2))
-    if sin_angle <= tol:
+    point.  Rebuilds timelike planes out of null / spacelike line pairs.
+    The sine, the meeting point and its distance from l2 are taken in the
+    balanced frame."""
+    d1, d2 = _frame(l1.direction, m.c), _frame(l2.direction, m.c)
+    if _sine(d1, d2) <= tol:
         raise ValueError("lines are parallel or collinear: no unique plane")
-    A = np.stack([d1, -d2], axis=1)
-    rhs = l2.point - l1.point
-    ts, *_ = np.linalg.lstsq(A, rhs, rcond=None)
+    ts, *_ = np.linalg.lstsq(np.stack([d1, -d2], axis=1), _frame(l2.point - l1.point, m.c),
+                             rcond=None)
     meet = l1.at(float(ts[0]))
-    resid = float(_norm(A @ ts - rhs))
-    if resid > tol * max(1.0, float(_norm(rhs)), n1, n2):
+    if _line_distance(_frame(meet - l2.point, m.c), d2) > tol:
         raise ValueError("lines do not intersect (skew)")
-    return plane_through(meet, d1, d2, m, tol)
+    return plane_through(meet, l1.direction, l2.direction, m, tol)
 
 
 def transform_line(mp, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> Line:

@@ -16,6 +16,11 @@ separation d the scale is ``|d_space|^2 + c^2 d_t^2``, with no floor: an exact
 zero (a vertex on its own cone) is null as 0 <= 0, and neither rescaling the
 events nor trading the time unit against ``c`` changes a class.
 
+Every Euclidean test is taken in the one balanced frame ``x D`` (``_frame``),
+D = diag(1, ..., 1, c), where the form is diag(1, ..., 1, -1) at every c, with
+no floor either: ``_sine`` of two directions, ``_line_distance`` of a point
+from a line relative to the largest side, and lengths.
+
 Public names check, private kernels trust: each public function checks every
 argument once (events with :func:`as_event`), then calls ``_inner``,
 ``_abs_inner`` and ``_classify``, the one definition of the form, its scale
@@ -84,6 +89,30 @@ def _inner(r, s, c: float) -> float:
 
 def _abs_inner(r, s, c: float) -> float:
     return float(np.dot(np.abs(r[:-1]), np.abs(s[:-1])) + c ** 2 * (abs(r[-1]) * abs(s[-1])))
+
+
+def _frame(x, c: float) -> np.ndarray:
+    # x times D = diag(1, ..., 1, c) along its last axis: a copy, of any shape
+    x = np.array(x, dtype=float)
+    x.T[-1] *= c
+    return x
+
+
+def _offset(w, d, t: float) -> float:
+    # |w - t d| in Python floats, cheaper than numpy's dispatch on a few components
+    return math.hypot(*[a - t * b for a, b in zip(w.tolist(), d.tolist())])
+
+
+def _sine(u, w) -> float:
+    # sine of the angle of u and w, 0 if either is zero; numpy's dot checks the shapes
+    uw, uu, ww = float(u.dot(w)), float(u.dot(u)), float(w.dot(w))
+    return _offset(u, w, uw / ww) / math.sqrt(uu) if uu and ww else 0.0
+
+
+def _line_distance(w, d) -> float:
+    # distance of w from the line along d (nonzero), relative to the largest side of (0, d, w)
+    wd, ww, dd = float(w.dot(d)), float(w.dot(w)), float(d.dot(d))
+    return _offset(w, d, wd / dd) / max(math.sqrt(ww), math.sqrt(dd), _offset(w, d, 1.0))
 
 
 def _classify(d, c: float, tol: float) -> CausalClass:

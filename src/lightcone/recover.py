@@ -18,15 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boost import AffineLorentzMap, NotConformalError, decompose_conformal
-from .minkowski import DEFAULT_TOL, Metric
+from .minkowski import DEFAULT_TOL, Metric, _frame, _line_distance, _sine
 
 #: Relative geometric tolerance shared by the pairwise and marker checks.
 GEOMETRY_TOL = DEFAULT_TOL
 
-#: Fit acceptance: max residual <= FIT_TOL * sample diameter.
+#: Fit acceptance: max residual <= FIT_TOL * sample diameter, both in the balanced frame.
 FIT_TOL = 1e-6
 
-#: Rank decisions count singular values of the equilibrated design above this.
+#: Rank decisions count singular values of the equilibrated design above this times the largest.
 RANK_RTOL = 1e-12
 
 # Rows per block of the cone check.  Median seconds for 8/16/32/64/128 rows, 2 vCPUs:
@@ -160,9 +160,8 @@ class FitReport:
 
 def _centred(p: np.ndarray, c: float):
     # the rows of p (sides stacked on leading axes) about the first, in the balanced
-    # frame diag(1, ..., 1, c) where the metric is diag(1, ..., 1, -1), and each |q|^2
-    q = p - p[..., :1, :]
-    q[..., -1] *= c
+    # frame, where the metric is diag(1, ..., 1, -1), and each |q|^2
+    q = _frame(p - p[..., :1, :], c)
     return q, np.einsum("...ij,...ij->...i", q, q)
 
 
@@ -276,52 +275,37 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
     )
 
 
-def _line_residual(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    # Euclidean distance from p to the affine line through a and b
-    d = b - a
-    t = float(np.dot(p - a, d) / np.dot(d, d))
-    return float(np.linalg.norm(p - a - t * d))
-
-
 def check_collinearity(s: SampleSet, tol: float = GEOMETRY_TOL) -> MarkerCheck:
-    """Images of marked collinear triples must be collinear."""
+    """Images of marked collinear triples must be collinear: the third
+    point's line distance from the first two, in the balanced frame."""
     violations = 0
     worst = 0.0
     for (i, j, k) in s.collinear:
-        xi, xj, xk = s.x[i], s.x[j], s.x[k]
+        xi, xj, xk = _frame(s.x[[i, j, k]], s.metric.c)
         if np.array_equal(xi, xj):
             raise ValueError(f"degenerate collinear marker ({i}, {j}, {k}): x_i = x_j")
-        scale_x = max(1.0, *(float(np.linalg.norm(b - a)) for a, b in
-                             ((xi, xj), (xi, xk), (xj, xk))))
-        if _line_residual(xk, xi, xj) > tol * scale_x:
+        if _line_distance(xk - xi, xj - xi) > tol:
             raise ValueError(f"marked triple ({i}, {j}, {k}) is not collinear in the domain")
-        yi, yj, yk = s.y[i], s.y[j], s.y[k]
-        if np.array_equal(yi, yj):
-            violations += 1  # collapsed image segment: no line to project onto
-            worst = max(worst, float(np.linalg.norm(yk - yi)))
-            continue
-        scale_y = max(1.0, *(float(np.linalg.norm(b - a)) for a, b in
-                             ((yi, yj), (yi, yk), (yj, yk))))
-        resid = _line_residual(yk, yi, yj) / scale_y
+        yi, yj, yk = _frame(s.y[[i, j, k]], s.metric.c)
+        collapsed = np.array_equal(yi, yj)  # no line to project onto: the whole side is off it
+        resid = 1.0 if collapsed else _line_distance(yk - yi, yj - yi)
         worst = max(worst, resid)
-        if resid > tol:
+        if collapsed or resid > tol:
             violations += 1
     return MarkerCheck(checked=len(s.collinear), violations=violations, worst_residual=worst)
 
 
 def check_parallelism(s: SampleSet, tol: float = GEOMETRY_TOL) -> MarkerCheck:
     """Image directions of marked parallel segment pairs must stay parallel
-    (sine of the angle within tol)."""
+    (sine of the angle within tol, in the balanced frame)."""
     violations = 0
     worst = 0.0
     for (i, j, k, l) in s.parallel:
-        u = s.y[j] - s.y[i]
-        w = s.y[l] - s.y[k]
-        nu, nw = float(np.linalg.norm(u)), float(np.linalg.norm(w))
-        if nu == 0.0 or nw == 0.0:
+        yi, yj, yk, yl = _frame(s.y[[i, j, k, l]], s.metric.c)
+        u, w = yj - yi, yl - yk
+        if not (u.any() and w.any()):
             raise ValueError(f"zero-length image direction in marker ({i}, {j}, {k}, {l})")
-        u, w = u / nu, w / nw
-        sin_angle = float(np.linalg.norm(u - float(np.dot(u, w)) * w))
+        sin_angle = _sine(u, w)
         worst = max(worst, sin_angle)
         if sin_angle > tol:
             violations += 1
@@ -329,8 +313,8 @@ def check_parallelism(s: SampleSet, tol: float = GEOMETRY_TOL) -> MarkerCheck:
 
 
 def fit_affine(s: SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
-    """Least-squares affine model y = M x + a via the normal equations on
-    homogeneous coordinates, columns equilibrated for conditioning.
+    """Least-squares affine model y = M x + a on homogeneous coordinates,
+    columns equilibrated; the residual is the largest balanced |M x_i + a - y_i|.
 
     Raises UnderdeterminedError when the samples do not affinely span R^n
     (rank decided on the unit-free equilibrated columns, against RANK_RTOL).
@@ -339,15 +323,16 @@ def fit_affine(s: SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
     if len(s) < n + 1:
         raise UnderdeterminedError(f"need at least {n + 1} samples, got {len(s)}")
     X = np.hstack([s.x, np.ones((len(s), 1))])
-    col_norms = np.linalg.norm(X, axis=0)
+    col_norms = np.sqrt(np.einsum("ij,ij->j", X, X))
     d = np.where(col_norms > 0, col_norms, 1.0)
-    Xs = X / d
-    if int(np.sum(np.linalg.svd(Xs, compute_uv=False) > RANK_RTOL)) < n + 1:
+    theta, _, rank, _ = np.linalg.lstsq(X / d, s.y, rcond=RANK_RTOL)
+    if rank < n + 1:
         raise UnderdeterminedError("samples do not affinely span R^n")
-    theta = np.linalg.solve(Xs.T @ Xs, Xs.T @ s.y) / d[:, None]
+    theta /= d[:, None]
     M = theta[:n].T
     a = theta[n]
-    max_residual = float(np.max(np.linalg.norm(s.x @ M.T + a - s.y, axis=1)))
+    r = _frame(s.x @ M.T + a - s.y, s.metric.c)
+    max_residual = math.sqrt(float(np.max(np.einsum("ij,ij->i", r, r))))
     return M, a, max_residual
 
 
@@ -371,18 +356,20 @@ def induced_field_map_check(
     if 0.0 not in grid or 1.0 not in grid:
         raise ValueError("grid must contain 0 and 1")
 
+    # both in the balanced frame; the lookup relative to max(1, |g|) |axis|
+    c = s.metric.c
+    x, axis = _frame(s.x, c), _frame(axis, c)
     rows = {}
     for g in grid:
-        target = g * axis
-        scale = max(1.0, float(np.linalg.norm(target)))
-        dist = np.linalg.norm(s.x - target, axis=1)
+        dist = np.linalg.norm(x - g * axis, axis=1)
         i = int(np.argmin(dist))
-        if dist[i] > 1e-9 * scale:
+        if dist[i] > 1e-9 * max(1.0, abs(g)) * float(np.linalg.norm(axis)):
             raise ValueError(f"grid point {g} * axis is missing from the sample")
         rows[g] = i
 
-    y0 = s.y[rows[0.0]]
-    e = s.y[rows[1.0]] - y0
+    y = dict(zip(rows, _frame(s.y[list(rows.values())], c)))
+    y0 = y[0.0]
+    e = y[1.0] - y0
     ee = float(np.dot(e, e))
     if ee == 0.0:
         return FieldMapCheck(math.nan, math.nan, math.nan, False, False)
@@ -390,12 +377,10 @@ def induced_field_map_check(
     zeta = {}
     line_preserved = True
     for g in grid:
-        w = s.y[rows[g]] - y0
-        z = float(np.dot(w, e)) / ee
-        resid = float(np.linalg.norm(w - z * e))
-        if resid > tol * max(1.0, float(np.linalg.norm(w)), math.sqrt(ee)):
+        w = y[g] - y0
+        if _line_distance(w, e) > tol:
             line_preserved = False
-        zeta[g] = z
+        zeta[g] = float(np.dot(w, e)) / ee
     if not line_preserved:
         return FieldMapCheck(math.nan, math.nan, math.nan, False, False)
 
@@ -457,8 +442,8 @@ def recover_lorentz(
 
     diam = 0.0
     for pts in (s.x, s.y):
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        diam = max(diam, float(np.linalg.norm(hi - lo)))
+        box = _frame(pts.max(axis=0) - pts.min(axis=0), s.metric.c)
+        diam = max(diam, float(np.linalg.norm(box)))
     threshold = tol * diam if diam > 0 else tol
 
     counterexamples = _single_cone_audit(s, cone, geometry_tol)

@@ -25,7 +25,7 @@ from lightcone import (
     is_isometry,
     light_clock,
     make_samples,
-    on_null_plane_algebraic,
+    on_null_cone,
     on_null_plane_by_characterization,
     permute_images,
     line_through,
@@ -37,7 +37,7 @@ from lightcone import (
     CausalClass,
 )
 from lightcone.boost import AffineLorentzMap
-from lightcone.minkowski import abs_inner, inner
+from lightcone.minkowski import abs_inner, inner, interval
 from lightcone.sampleio import save_samples
 
 SPEEDS = (0.1, 1.0, 343.0, 2.99792458e8)
@@ -183,25 +183,29 @@ def test_criterion_7_recovery_completeness(tmp_path):
 
 
 def test_criterion_8_characterization_equivalence():
+    # off the null plane of l (beyond 10 bands of B = inner(p - l.point, d)) the
+    # characterization answers False, and the cone it says exists does: p lies on
+    # the null cone of the vertex l.at(Q / (2 B)), Q = interval(p, l.point)
     rng = np.random.default_rng(108)
-    mismatches = 0
+    failures = 0
     total = 0
-    m = Metric(3, 1.0)
-    for _ in range(3):
-        u = rng.standard_normal(2)
-        u /= np.linalg.norm(u)
-        l = line_through(rng.uniform(-2, 2, 3), np.concatenate([u, [1.0]]), m)
-        pts = rng.uniform(-10, 10, (10_000, 3))
-        for p in pts:
-            b = inner(p - l.point, l.direction, m)
-            band = 1e-9 * max(1.0, abs_inner(p - l.point, l.direction, m))
-            if 0.1 * band < abs(b) < 10.0 * band:
-                continue  # inside the ambiguous tolerance band
-            total += 1
-            if on_null_plane_by_characterization(p, l, m) != on_null_plane_algebraic(p, l, m):
-                mismatches += 1
-    report(8, mismatches == 0 and total > 29_000,
-           f"cone characterization matches the algebraic predicate on {total} points")
+    for c in SPEEDS:
+        m = Metric(3, c)
+        balanced = np.array([1.0, 1.0, 1.0 / c])
+        for _ in range(3):
+            u = rng.standard_normal(2)
+            u /= np.linalg.norm(u)
+            l = line_through(rng.uniform(-2, 2, 3) * balanced, np.append(c * u, 1.0), m)
+            for p in rng.uniform(-10, 10, (2_500, 3)) * balanced:
+                b = inner(p - l.point, l.direction, m)
+                if abs(b) <= 10 * 1e-9 * abs_inner(p - l.point, l.direction, m):
+                    continue  # on the plane, or too near it to tell
+                total += 1
+                vertex = l.at(interval(p, l.point, m) / (2 * b))
+                if on_null_plane_by_characterization(p, l, m) or not on_null_cone(p, vertex, m):
+                    failures += 1
+    report(8, failures == 0 and total > 29_000,
+           f"off the null plane, the cone of vertex l.at(Q / 2B) reaches p ({total} points)")
 
 
 def test_criterion_9_causal_class_preservation():

@@ -1,11 +1,12 @@
-"""A change of units changes no causal class, no cone-check count and no
+"""A change of units changes no causal class, no check's count and no
 recovery verdict: rescaling every event by k, or measuring time in a unit
-lambda times larger while c becomes lambda * c, leaves every null test where
-it was."""
+lambda times larger while c becomes lambda * c, leaves every null test, and
+every Euclidean test of the balanced frame, where it was."""
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -71,19 +72,38 @@ def test_classify_unchanged_by_the_unit_of_time(pair, c_new):
     assert classify(r_new, s_new, Metric(len(r), c_new)) is classify(r, s, Metric(len(r), c)) is cls
 
 
-def _samples(kind, c, seed):
-    cfg = GenerateConfig(kind="lorentz" if kind == "permuted" else kind, c=c, v=0.6 * c,
-                         num_samples=40, seed=seed)
+def _samples(kind, c, seed, num_samples=40):
+    """A generated sample; ``permuted`` scrambles a lorentz sample's images and
+    ``time-perturbed`` adds to its image times noise of 1 % of their spread."""
+    own = kind in ("lorentz", "translation", "cubing", "shear")
+    cfg = GenerateConfig(kind=kind if own else "lorentz", c=c, v=0.6 * c,
+                         num_samples=num_samples, seed=seed)
     s, _ = make_samples(cfg)
-    return permute_images(s, seed) if kind == "permuted" else s
+    if kind == "permuted":
+        return permute_images(s, seed)
+    if kind == "time-perturbed":
+        t = s.y[:, -1]
+        t += 0.01 * np.ptp(t) * np.random.default_rng(seed).standard_normal(len(t))
+    return s
+
+
+def _transformed(s, scale, c):
+    # every event, the axis grid's axis included, times the vector scale, at speed c
+    grid = s.axis_grid
+    return SampleSet(
+        metric=Metric(s.metric.n, c), x=scale * s.x, y=scale * s.y, collinear=s.collinear,
+        parallel=s.parallel, null_pairs=s.null_pairs,
+        axis_grid=AxisGrid(scale * grid.axis, grid.values, grid.indices),
+    )
 
 
 def _rescaled(s, k):
-    grid = s.axis_grid
-    return SampleSet(
-        metric=s.metric, x=k * s.x, y=k * s.y, collinear=s.collinear, parallel=s.parallel,
-        null_pairs=s.null_pairs, axis_grid=AxisGrid(k * grid.axis, grid.values, grid.indices),
-    )
+    return _transformed(s, np.full(s.metric.n, k), s.metric.c)
+
+
+def _retimed(s, lam):
+    # t -> t / lam, c -> lam * c
+    return _transformed(s, np.append(np.ones(s.metric.n - 1), 1.0 / lam), lam * s.metric.c)
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,3 +130,34 @@ def test_recovery_verdict_unchanged_by_rescaling(kind, c, seed, k):
     accepted = recover_lorentz(s).recovered is not None
     assert accepted is (kind in ("lorentz", "translation"))
     assert (recover_lorentz(_rescaled(s, k)).recovered is not None) is accepted
+
+
+def _gate_outcomes(s):
+    # what the marker checks, the field-map line test and the fit gate decide
+    rep = recover_lorentz(s)
+    return (rep.collinearity.violations, rep.parallelism.violations,
+            rep.field_map.line_preserved, rep.max_residual > rep.fit_threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(("lorentz", "translation", "cubing", "shear", "permuted",
+                             "time-perturbed")),
+       c=st.sampled_from(SPEEDS), seed=st.integers(0, 3), k=_log_uniform(1e-6, 1e6),
+       lam=_log_uniform(1e-4, 1e4))
+@example(kind="time-perturbed", c=1.0, seed=0, k=1.0, lam=2.99792458e8)
+def test_marker_checks_and_fit_gate_unchanged_by_units(kind, c, seed, k, lam):
+    s = _samples(kind, c, seed)
+    want = _gate_outcomes(s)
+    assert _gate_outcomes(_rescaled(s, k)) == want
+    assert _gate_outcomes(_retimed(s, lam)) == want
+
+
+@pytest.mark.parametrize("c", (0.1, 1.0, 343.0, 2.99792458e8))
+def test_time_perturbation_refused_at_every_speed(c):
+    # 1 % of the image time spread moves every marker off its line and direction
+    # and the fit off the model, at every c alike
+    rep = recover_lorentz(_samples("time-perturbed", c, seed=0, num_samples=200))
+    assert rep.collinearity.violations == rep.collinearity.checked == 4
+    assert rep.parallelism.violations == rep.parallelism.checked == 3
+    assert rep.max_residual > rep.fit_threshold
+    assert rep.recovered is None
