@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from lightcone import GenerateConfig, make_samples, recover_lorentz
-from lightcone.minkowski import _frame
+from lightcone.minkowski import _balanced
 
 SPEEDS = (0.1, 1.0, 343.0, 2.99792458e8)
 
@@ -46,7 +46,7 @@ def main() -> None:
             d_alpha = abs(rep.recovered.alpha - truth["alpha"])
             # compare in the metric-balanced frame D L D^-1, D = diag(1, ..., 1, c),
             # where boost entries are O(gamma) at every c
-            Lb_true, Lb = (_frame(_frame(L.T, c).T, 1 / c) for L in (L_true, rep.recovered.L))
+            Lb_true, Lb = (_balanced(L, c) for L in (L_true, rep.recovered.L))
             d_L = float(np.max(np.abs(Lb - Lb_true) / np.maximum(1, np.abs(Lb_true))))
             d_a = float(np.max(np.abs(rep.recovered.a - a_true) / np.maximum(1, np.abs(a_true))))
             print(f"{c:12.4g} {cfg.v / c:8.3f} {cfg.alpha:7.3f} | "

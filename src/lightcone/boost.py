@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import Metric, _frame
+from .minkowski import Metric, _balanced
 
 #: Velocities with |v| >= c * (1 - VELOCITY_MARGIN) are rejected: gamma diverges.
 VELOCITY_MARGIN = 1e-12
@@ -170,22 +170,20 @@ def inverse(m: AffineLorentzMap) -> AffineLorentzMap:
 
 
 def _balanced_gram(M: np.ndarray, m: Metric):
-    # Conjugating by the balanced frame D (lightcone.minkowski) turns the metric
-    # into the unit signature diag(1, ..., 1, -1) and keeps boost entries O(gamma);
-    # the proportionality M^T eta M = lam * eta is exactly equivalent to
-    # (D M D^-1)^T eta1 (D M D^-1) = lam * eta1 but without the c^2
-    # amplification of floating-point noise in near-zero entries.
+    # M^T eta M = lam eta is exactly G = Mb^T eta1 Mb = lam eta1, Mb = D M D^-1: O(gamma) for
+    # boosts, with no c^2 amplified noise.  Returns M and flat G, S = |Mb|^T |Mb| and eta1.
     M = np.asarray(M, dtype=float)  # the one check of a public matrix argument
     if M.shape != (m.n, m.n):
         raise ValueError(f"matrix has shape {M.shape}, expected ({m.n}, {m.n})")
-    Mb = _frame(_frame(M.T, m.c).T, 1 / m.c)  # D M D^-1
+    Mb = _balanced(M, m.c)
     if not all(map(math.isfinite, Mb.ravel().tolist())):  # NaN is refused quietly, inf * 0 warns
-        Mb = np.full_like(Mb, math.nan)
-    eta1 = np.eye(m.n)
-    eta1[-1, -1] = -1.0
-    G = Mb.T @ eta1 @ Mb
-    S = np.abs(Mb).T @ np.abs(Mb)  # |eta1| is the identity pattern
-    return M, G, S, eta1
+        Mb[:] = math.nan
+    H = Mb.copy()
+    time_row = H[-1]
+    time_row *= -1.0  # H = eta1 Mb, in place like minkowski._balanced
+    A = np.abs(Mb)
+    eta1 = ([1.0] + [0.0] * m.n) * (m.n - 1) + [-1.0]  # diag(1, ..., 1, -1), flat
+    return M, Mb.T.dot(H).ravel().tolist(), A.T.dot(A).ravel().tolist(), eta1
 
 
 def _median(xs: list) -> float:
@@ -200,8 +198,7 @@ def is_isometry(L, m: Metric, tol: float = 1e-9) -> bool:
     """True iff L^T eta L = eta entrywise, relative to the magnitude of the
     products forming each entry (evaluated in the metric-balanced frame)."""
     _, G, S, eta1 = _balanced_gram(L, m)
-    scale = np.maximum(1.0, S)
-    return bool((np.abs(G - eta1) <= tol * scale).all())
+    return all(abs(g - e) <= tol * (s if s > 1.0 else 1.0) for g, e, s in zip(G, eta1, S))
 
 
 def decompose_conformal(M, m: Metric, tol: float = 1e-9) -> tuple[float, np.ndarray]:
@@ -213,13 +210,13 @@ def decompose_conformal(M, m: Metric, tol: float = 1e-9) -> tuple[float, np.ndar
     proportional to eta, SignatureError when the factor is non-positive.
     """
     M, G, S, eta1 = _balanced_gram(M, m)
-    lam = _median((np.diag(G) / np.diag(eta1)).tolist())
-    scale = np.maximum(1.0, np.maximum(S, abs(lam)))
-    if not (np.abs(G - lam * eta1) <= tol * scale).all():
-        worst = float(np.max(np.abs(G - lam * eta1) / scale))
-        raise NotConformalError(
-            f"M^T eta M is not proportional to eta (worst relative deviation {worst:.3e})"
-        )
+    lam = _median([g / e for g, e in zip(G[::m.n + 1], eta1[::m.n + 1])])
+    floor = max(1.0, abs(lam))  # the scale of each entry is max(1, S, |lam|)
+    if not all(abs(g - lam * e) <= tol * (s if s > floor else floor)
+               for g, e, s in zip(G, eta1, S)):
+        worst = [abs(g - lam * e) / (s if s > floor else floor) for g, e, s in zip(G, eta1, S)]
+        raise NotConformalError("M^T eta M is not proportional to eta (worst relative deviation "
+                                f"{math.nan if any(w != w for w in worst) else max(worst):.3e})")
     if lam <= 0:
         raise SignatureError(f"conformal factor is non-positive ({lam:.6g})")
     alpha = math.sqrt(lam)

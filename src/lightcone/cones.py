@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
-from .minkowski import (DEFAULT_TOL, CausalClass, Metric, _abs_inner, _classify, _frame, _inner,
-                        _line_distance, _sine, as_event)
+from .minkowski import (DEFAULT_TOL, CausalClass, Metric, _abs_inner, _classify, _dot, _frame,
+                        _inner, _line_distance, _minus, _sine, _within, as_event)
 
 
 @dataclass(frozen=True)
@@ -47,24 +48,24 @@ def _norm(x) -> np.float64:
     return np.float64(math.sqrt(x.dot(x)))
 
 
-def _cross(a, b) -> np.ndarray:
+def _cross(a, b) -> list:
     # np.cross's formula in Python floats: its IEEE operations without its ~20 us of dispatch
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
 def line_through(point, direction, m: Metric, tol: float = DEFAULT_TOL) -> Line:
     point, direction = as_event(point, m), as_event(direction, m)
     if not direction.any():
         raise ValueError("line direction must be nonzero")
-    return Line(point, direction, _classify(direction, m.c, tol))
+    return Line(point, direction, _classify(direction.tolist(), m.c, tol))
 
 
 def classify_span(u, v, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
     """Causal class of the plane spanned by u and v via the sign of the
     Gram determinant: zero -> null, negative -> timelike, positive ->
     spacelike."""
-    return _classify_span(as_event(u, m), as_event(v, m), m.c, tol)
+    return _classify_span(as_event(u, m).tolist(), as_event(v, m).tolist(), m.c, tol)
 
 
 def _classify_span(u, v, c: float, tol: float) -> CausalClass:
@@ -75,14 +76,14 @@ def _classify_span(u, v, c: float, tol: float) -> CausalClass:
     guu, gvv, guv = _inner(u, u, c), _inner(v, v, c), _inner(u, v, c)
     det = guu * gvv - guv * guv
     scale = _abs_inner(u, u, c) * _abs_inner(v, v, c) + _abs_inner(u, v, c) ** 2
-    if abs(det) <= tol * scale:
+    if _within(det, scale, tol):
         return CausalClass.LIGHTLIKE
     return CausalClass.TIMELIKE if det < 0 else CausalClass.SPACELIKE
 
 
 def plane_through(point, u, v, m: Metric, tol: float = DEFAULT_TOL) -> Plane:
     point, u, v = as_event(point, m), as_event(u, m), as_event(v, m)
-    return Plane(point, (u, v), _classify_span(u, v, m.c, tol))
+    return Plane(point, (u, v), _classify_span(u.tolist(), v.tolist(), m.c, tol))
 
 
 def classify_plane(p: Plane, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
@@ -93,7 +94,7 @@ def point_on_line(p, l: Line, tol: float = DEFAULT_TOL) -> bool:
     """Euclidean distance from p to the line is within tol, relative to the
     largest side of the triangle (l.point, l.point + l.direction, p).  A line
     carries no metric, so the coordinates are taken as they are."""
-    return _line_distance(np.asarray(p, dtype=float) - l.point, l.direction) <= tol
+    return _within(_line_distance(np.asarray(p, dtype=float) - l.point, l.direction), 1.0, tol)
 
 
 def same_line(l1: Line, l2: Line, tol: float = 1e-9) -> bool:
@@ -114,15 +115,16 @@ def tangent_cone_intersection(a, b, m: Metric, tol: float = DEFAULT_TOL) -> Line
     and then they intersect in the single line through a with direction
     b - a.
     """
-    a, b = as_event(a, m), as_event(b, m)
-    if a.tolist() == b.tolist():
+    a = as_event(a, m)
+    al, bl = a.tolist(), as_event(b, m).tolist()
+    if al == bl:
         raise ValueError("degenerate: the two vertices coincide")
-    d = b - a  # exactly -(a - b), so its class and interval are those of (a, b)
+    d = list(map(sub, bl, al))  # exactly -(a - b), so its class and interval are those of (a, b)
     if _classify(d, m.c, tol) is not CausalClass.LIGHTLIKE:
         raise ValueError(
             f"cones are not tangent: interval(a, b) = {_inner(d, d, m.c):.6g} != 0"
         )
-    return Line(a, d, CausalClass.LIGHTLIKE)
+    return Line(a, np.array(d), CausalClass.LIGHTLIKE)
 
 
 def null_plane_through(l: Line, m: Metric) -> Plane:
@@ -147,14 +149,12 @@ def on_null_plane_algebraic(p, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> 
     inner(p - l.point, l.direction) = 0."""
     if l.causal_class is not CausalClass.LIGHTLIKE:
         raise ValueError("line is not null")
-    w = as_event(as_event(p, m) - l.point, m)
-    d = as_event(l.direction, m)
-    return abs(_inner(w, d, m.c)) <= tol * _abs_inner(w, d, m.c)
+    w = as_event(as_event(p, m) - l.point, m).tolist()
+    d = as_event(l.direction, m).tolist()
+    return _within(_inner(w, d, m.c), _abs_inner(w, d, m.c), tol)
 
 
-def on_null_plane_by_characterization(
-    p, l: Line, m: Metric, tol: float = DEFAULT_TOL
-) -> bool:
+def on_null_plane_by_characterization(p, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> bool:
     """Membership in the null plane of l, decided by cones alone: p is on
     the plane iff it lies on l itself or on *no* null cone with vertex on
     l.
@@ -169,29 +169,32 @@ def on_null_plane_by_characterization(
     return on_null_plane_algebraic(p, l, m, tol)
 
 
-def _euclid_normal(p: Plane) -> np.ndarray:
+def _euclid_normal(p: Plane, m: Metric) -> list:
     if p.point.shape != (3,):
         raise ValueError("plane intersection is implemented for n = 3")
     u, v = (np.asarray(s, dtype=float) for s in p.span)
-    return _cross(u, v) if u.shape == v.shape == (3,) else np.cross(u, v)  # refuses others
+    if u.shape == v.shape == (3,):
+        return _cross(as_event(u, m).tolist(), as_event(v, m).tolist())
+    return as_event(np.cross(u, v), m).tolist()  # np.cross refuses what it cannot cross
 
 
 def intersect_planes(p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL) -> Line:
     """Intersection line of two distinct, non-parallel planes in R^3.  The
-    parallel test and the least-squares point are taken in the balanced
-    frame, where the plane n . x = h has the normal n D^-1."""
-    n1, n2 = _euclid_normal(p1), _euclid_normal(p2)
-    A = _frame(np.vstack([n1, n2]), 1 / m.c)
-    if _sine(A[0], A[1]) <= tol:
+    parallel test and the point are taken in the balanced frame, where the
+    plane n . x = h has the normal a = n D^-1: the point is the least-squares
+    one of minimum norm, ((h1 a2 - h2 a1) x (a1 x a2)) / |a1 x a2|^2."""
+    n1, n2 = _euclid_normal(p1, m), _euclid_normal(p2, m)
+    a1, a2 = _frame(n1, 1 / m.c), _frame(n2, 1 / m.c)
+    if _within(_sine(a1, a2), 1.0, tol):
         raise ValueError("planes are parallel or identical: no unique line")
-    rhs = np.array([float(np.dot(n1, p1.point)), float(np.dot(n2, p2.point))])
-    point = _frame(np.linalg.lstsq(A, rhs, rcond=None)[0], 1 / m.c)
-    return line_through(point, _cross(n1, n2), m, tol)
+    h1, h2 = _dot(n1, p1.point.tolist()), _dot(n2, p2.point.tolist())
+    n = _cross(a1, a2)
+    k = math.hypot(*n)  # |n|, divided by twice: |n|^2 underflows for spans below ~1e-37
+    point = _cross([h1 * b - h2 * a for a, b in zip(a1, a2)], [x / k for x in n])
+    return line_through(_frame([x / k for x in point], 1 / m.c), _cross(n1, n2), m, tol)
 
 
-def intersect_null_planes(
-    p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL
-) -> Line:
+def intersect_null_planes(p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL) -> Line:
     """Intersection of two null planes; for the two tangent planes touching
     opposite sheets of a cone this is a spacelike line."""
     if p1.causal_class is not CausalClass.LIGHTLIKE:
@@ -205,16 +208,19 @@ def plane_through_lines(l1: Line, l2: Line, m: Metric, tol: float = DEFAULT_TOL)
     """The unique plane containing two lines that intersect in exactly one
     point.  Rebuilds timelike planes out of null / spacelike line pairs.
     The sine, the meeting point and its distance from l2 are taken in the
-    balanced frame."""
-    d1, d2 = _frame(l1.direction, m.c), _frame(l2.direction, m.c)
-    if _sine(d1, d2) <= tol:
+    balanced frame, the point by a two-column Gram-Schmidt: t is the
+    coefficient of d1 once d2 is projected out of d1 and of the offset."""
+    u, v = as_event(l1.direction, m), as_event(l2.direction, m)
+    d1, d2 = _frame(u.tolist(), m.c), _frame(v.tolist(), m.c)
+    if _within(_sine(d1, d2), 1.0, tol):
         raise ValueError("lines are parallel or collinear: no unique plane")
-    ts, *_ = np.linalg.lstsq(np.stack([d1, -d2], axis=1), _frame(l2.point - l1.point, m.c),
-                             rcond=None)
-    meet = l1.at(float(ts[0]))
-    if _line_distance(_frame(meet - l2.point, m.c), d2) > tol:
+    causal_class = _classify_span(u.tolist(), v.tolist(), m.c, tol)  # sine > 1e-6 from here on
+    w = _frame(as_event(l2.point - l1.point, m).tolist(), m.c)
+    r1, rw = (_minus(x, d2, _dot(x, d2) / _dot(d2, d2)) for x in (d1, w))
+    t = _dot(r1, rw) / _dot(r1, r1)
+    if not _within(_line_distance([t * a - b for a, b in zip(d1, w)], d2), 1.0, tol):
         raise ValueError("lines do not intersect (skew)")
-    return plane_through(meet, l1.direction, l2.direction, m, tol)
+    return Plane(as_event(l1.point, m) + t * u, (u, v), causal_class)
 
 
 def transform_line(mp, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> Line:

@@ -16,15 +16,17 @@ separation d the scale is ``|d_space|^2 + c^2 d_t^2``, with no floor: an exact
 zero (a vertex on its own cone) is null as 0 <= 0, and neither rescaling the
 events nor trading the time unit against ``c`` changes a class.
 
-Every Euclidean test is taken in the one balanced frame ``x D`` (``_frame``),
-D = diag(1, ..., 1, c), where the form is diag(1, ..., 1, -1) at every c, with
-no floor either: ``_sine`` of two directions, ``_line_distance`` of a point
-from a line relative to the largest side, and lengths.
+Every Euclidean test is taken in the one balanced frame ``x D`` (``_frame``;
+``_balanced`` is D M D^-1), D = diag(1, ..., 1, c), where the form is
+diag(1, ..., 1, -1) at every c, with no floor either: ``_sine``,
+``_line_distance`` relative to the largest side, and lengths.
 
 Public names check, private kernels trust: each public function checks every
-argument once (events with :func:`as_event`), then calls ``_inner``,
-``_abs_inner`` and ``_classify``, the one definition of the form, its scale
-and the null band, on the checked arrays.
+argument once (events with :func:`as_event`) and converts it once, with
+``tolist()``, to Python floats, on which ``_inner``, ``_abs_inner``,
+``_classify`` (the form, its scale, the null band) and ``_within`` (every test
+against a tolerance, the one refusal of tol < 0) do plain float arithmetic,
+several times cheaper than numpy's dispatch on 3- and 4-vectors.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from operator import mul, sub
 
 import numpy as np
 
@@ -84,43 +87,70 @@ def as_event(e, m: Metric) -> np.ndarray:
 
 
 def _inner(r, s, c: float) -> float:
-    return float(np.dot(r[:-1], s[:-1]) - c ** 2 * (r[-1] * s[-1]))
+    return sum(map(mul, r[:-1], s[:-1])) - c ** 2 * (r[-1] * s[-1])
 
 
 def _abs_inner(r, s, c: float) -> float:
-    return float(np.dot(np.abs(r[:-1]), np.abs(s[:-1])) + c ** 2 * (abs(r[-1]) * abs(s[-1])))
+    return sum(map(abs, map(mul, r[:-1], s[:-1]))) + c ** 2 * abs(r[-1] * s[-1])
 
 
-def _frame(x, c: float) -> np.ndarray:
-    # x times D = diag(1, ..., 1, c) along its last axis: a copy, of any shape
+def _within(q: float, scale: float, tol: float) -> bool:
+    # |q| <= tol * scale, the null band of a product q of magnitude scale among them
+    if tol < 0:
+        raise ValueError("tolerance must be >= 0")
+    return abs(q) <= tol * scale
+
+
+def _frame(x, c: float):
+    # x times D = diag(1, ..., 1, c) along its last axis: a copy, of any shape, or a list
+    if isinstance(x, list):
+        return [*x[:-1], x[-1] * c]
     x = np.array(x, dtype=float)
     x.T[-1] *= c
     return x
 
 
-def _offset(w, d, t: float) -> float:
-    # |w - t d| in Python floats, cheaper than numpy's dispatch on a few components
-    return math.hypot(*[a - t * b for a, b in zip(w.tolist(), d.tolist())])
+def _balanced(M, c: float) -> np.ndarray:
+    # D M D^-1, the square matrix M acting in the balanced frame: a copy
+    Mb = np.array(M, dtype=float)
+    row, column = Mb[-1], Mb[:, -1]  # views: scaled in place, with no write-back copy
+    row *= c
+    column *= 1 / c
+    return Mb
+
+
+def _dot(a, b) -> float:
+    return sum(map(mul, a, b))
+
+
+def _dots(u, w) -> tuple:
+    # (u.w, u.u, w.w) and u, w as lists; numpy dots arrays, as recover's reports were made
+    if isinstance(u, np.ndarray):
+        return float(u.dot(w)), float(u.dot(u)), float(w.dot(w)), u.tolist(), w.tolist()
+    return _dot(u, w), _dot(u, u), _dot(w, w), u, w
+
+
+def _minus(u, w, t: float) -> list:
+    return [a - t * b for a, b in zip(u, w)]
 
 
 def _sine(u, w) -> float:
-    # sine of the angle of u and w, 0 if either is zero; numpy's dot checks the shapes
-    uw, uu, ww = float(u.dot(w)), float(u.dot(u)), float(w.dot(w))
-    return _offset(u, w, uw / ww) / math.sqrt(uu) if uu and ww else 0.0
+    # sine of the angle of u and w, 0 if either is zero
+    uw, uu, ww, u, w = _dots(u, w)
+    return math.hypot(*_minus(u, w, uw / ww)) / math.sqrt(uu) if uu and ww else 0.0
 
 
 def _line_distance(w, d) -> float:
     # distance of w from the line along d (nonzero), relative to the largest side of (0, d, w)
-    wd, ww, dd = float(w.dot(d)), float(w.dot(w)), float(d.dot(d))
-    return _offset(w, d, wd / dd) / max(math.sqrt(ww), math.sqrt(dd), _offset(w, d, 1.0))
+    wd, ww, dd, w, d = _dots(w, d)
+    side = math.hypot(*_minus(w, d, 1.0))
+    return math.hypot(*_minus(w, d, wd / dd)) / max(math.sqrt(ww), math.sqrt(dd), side)
 
 
 def _classify(d, c: float, tol: float) -> CausalClass:
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
-    space, time = float(np.dot(d[:-1], d[:-1])), c ** 2 * float(d[-1] * d[-1])
+    space, time = sum(map(mul, d[:-1], d[:-1])), c ** 2 * (d[-1] * d[-1])
     iv = space - time
-    if abs(iv) <= tol * (space + time):
+    if _within(iv, space + time, tol):
         return CausalClass.LIGHTLIKE
     return CausalClass.SPACELIKE if iv > 0 else CausalClass.TIMELIKE
 
@@ -131,7 +161,7 @@ def inner(r, s, m: Metric) -> float:
     Bilinear and symmetric; the time product is formed before scaling by
     c^2 so that the result is bitwise symmetric in (r, s).
     """
-    return _inner(as_event(r, m), as_event(s, m), m.c)
+    return _inner(as_event(r, m).tolist(), as_event(s, m).tolist(), m.c)
 
 
 def abs_inner(r, s, m: Metric) -> float:
@@ -141,21 +171,20 @@ def abs_inner(r, s, m: Metric) -> float:
     the inner product can only be trusted down to roughly
     ``eps * abs_inner``.
     """
-    return _abs_inner(as_event(r, m), as_event(s, m), m.c)
+    return _abs_inner(as_event(r, m).tolist(), as_event(s, m).tolist(), m.c)
 
 
 def interval(r, s, m: Metric) -> float:
     """Squared interval inner(r - s, r - s) of the separation."""
-    d = as_event(r, m) - as_event(s, m)
+    d = list(map(sub, as_event(r, m).tolist(), as_event(s, m).tolist()))
     return _inner(d, d, m.c)
 
 
 def classify(r, s, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
     """Causal class of the pair (r, s): the sign of ``interval(r, s)``,
     with the null band of the module docstring."""
-    if tol < 0:  # refused before the events, as _classify refuses it for its other callers
-        raise ValueError("tolerance must be >= 0")
-    return _classify(as_event(r, m) - as_event(s, m), m.c, tol)
+    _within(0.0, 0.0, tol)  # refuses tol < 0 before the events are checked
+    return _classify(list(map(sub, as_event(r, m).tolist(), as_event(s, m).tolist())), m.c, tol)
 
 
 def on_null_cone(p, vertex, m: Metric, tol: float = DEFAULT_TOL) -> bool:

@@ -144,11 +144,9 @@ def derive_map(v: float, c: float = 1.0) -> AffineLorentzMap:
     """
     check_velocity(v, c)
     alpha = scale_factor(v, c)
-    L = np.zeros((4, 4))
-    for j, (x, y, z, t) in enumerate(np.eye(4)):
+    columns = []
+    for x, y, z, t in np.eye(4).tolist():
         xbar = comoving(x, t, v)
-        L[0, j] = _xprime(xbar, v, c, alpha)
-        L[1, j] = _yzprime(y, v, c, alpha)
-        L[2, j] = _yzprime(z, v, c, alpha)
-        L[3, j] = _tprime(xbar, t, v, c, alpha)
-    return AffineLorentzMap(1.0, L, np.zeros(4))
+        columns.append((_xprime(xbar, v, c, alpha), _yzprime(y, v, c, alpha),
+                        _yzprime(z, v, c, alpha), _tprime(xbar, t, v, c, alpha)))
+    return AffineLorentzMap(1.0, np.array(list(zip(*columns))), np.zeros(4))

@@ -25,6 +25,9 @@ from lightcone import (
     scale_factor,
 )
 
+from lightcone.boost import _balanced_gram
+from lightcone.minkowski import _balanced, _frame
+
 M4 = Metric(4, 1.0)
 
 #: the speeds used as conventions throughout the suite
@@ -291,3 +294,29 @@ def test_inverse_roundtrip(seed):
     assert abs(r.alpha - 1.0) <= 1e-12
     np.testing.assert_allclose(r.L, np.eye(4), atol=1e-10)
     np.testing.assert_allclose(r.a, np.zeros(4), atol=1e-10)
+
+
+_entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                   st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+
+
+@given(entries=st.lists(_entry, min_size=16, max_size=16), c=st.sampled_from(SPEEDS))
+@settings(max_examples=500, deadline=None)
+def test_balanced_gram_is_the_matmul_form_bit_for_bit(entries, c):
+    # D M D^-1 scaled in place, G = Mb^T (eta1 Mb) and S by ndarray.dot are the
+    # bits of the double-transposed frame and of Mb^T eta1 Mb and |Mb|^T |Mb| by
+    # matmul, so decompose_conformal and every verify report keep theirs.  A zero
+    # is compared without its sign (an underflowed product can carry either), which
+    # no caller reads: each takes |G - lam eta1|, and _median adds 0.0.
+    M = np.array(entries).reshape(4, 4)
+    Mb = _frame(_frame(M.T, c).T, 1 / c)
+    eta1 = np.diag([1.0, 1.0, 1.0, -1.0])
+    _, G, S, eta = _balanced_gram(M, Metric(4, c))
+
+    def bits(xs):
+        return [(float(x) + 0.0).hex() for x in np.ravel(xs)]
+
+    assert bits(_balanced(M, c)) == bits(Mb)
+    assert bits(G) == bits(Mb.T @ eta1 @ Mb)
+    assert bits(S) == bits(np.abs(Mb).T @ np.abs(Mb))
+    assert eta == eta1.ravel().tolist()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lightcone import (
     BoostParams,
@@ -25,6 +27,8 @@ from lightcone import (
 )
 from lightcone import inner, interval
 from lightcone.boost import AffineLorentzMap
+from lightcone.cones import Line, Plane
+from lightcone.minkowski import _frame, _sine
 
 M3 = Metric(3, 1.0)
 M4 = Metric(4, 1.0)
@@ -298,3 +302,52 @@ def test_plane_class_invariant_under_boosts():
         mp = _random_boost_map(rng, 1.0)
         after = classify_span(mp.alpha * (mp.L @ u), mp.alpha * (mp.L @ w), m)
         assert after is before
+
+
+SPEEDS = (0.1, 1.0, 343.0, 2.99792458e8)
+_coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_subnormal=False)
+_vec3 = st.tuples(_coord, _coord, _coord).map(np.array)
+
+
+def _close_to_lstsq(got, want, sine, *scale):
+    # relative to the largest vector of the problem, all in the balanced frame
+    size = max(float(np.linalg.norm(x)) for x in (want, *scale))
+    assert np.linalg.norm(got - want) <= 1e-12 / sine * size
+
+
+@given(c=st.sampled_from(SPEEDS), p1=_vec3, u1=_vec3, v1=_vec3, p2=_vec3, u2=_vec3, v2=_vec3)
+@settings(max_examples=300, deadline=None)
+def test_intersect_planes_point_matches_lstsq(c, p1, u1, v1, p2, u2, v2):
+    # the closed-form point is numpy's least-squares point of minimum norm in the
+    # balanced frame; the vectors are drawn there and taken back to raw coordinates.
+    # Each row of the reference is scaled to unit norm, which leaves its solution
+    # as it is and spares it an error ~eps |a1| / |a2| the cross products do not make
+    m = Metric(3, c)
+    raw = [_frame(x, 1 / c) for x in (p1, u1, v1, p2, u2, v2)]
+    P1, P2 = Plane(raw[0], (raw[1], raw[2]), CausalClass.SPACELIKE), Plane(
+        raw[3], (raw[4], raw[5]), CausalClass.SPACELIKE)
+    n1, n2 = np.cross(raw[1], raw[2]), np.cross(raw[4], raw[5])
+    A = _frame(np.vstack([n1, n2]), 1 / c)
+    sine = _sine(A[0], A[1])
+    assume(np.linalg.norm(A[0]) > 1e-6 and np.linalg.norm(A[1]) > 1e-6 and sine > 1e-6)
+    norms = np.linalg.norm(A, axis=1)
+    want = np.linalg.lstsq(A / norms[:, None], [n1 @ raw[0], n2 @ raw[3]] / norms, rcond=None)[0]
+    got = _frame(intersect_planes(P1, P2, m).point, c)
+    _close_to_lstsq(got, want, sine, p1, p2)
+
+
+@given(c=st.sampled_from(SPEEDS), q=_vec3, d1=_vec3, d2=_vec3, t1=_coord, t2=_coord)
+@settings(max_examples=300, deadline=None)
+def test_plane_through_lines_meeting_point_matches_lstsq(c, q, d1, d2, t1, t2):
+    # two lines through q, drawn in the balanced frame: the Gram-Schmidt meeting
+    # point against numpy's least-squares solve of [d1, -d2] (t, s) = w there
+    m = Metric(3, c)
+    sine = _sine(d1, d2)
+    assume(np.linalg.norm(d1) > 1e-6 and np.linalg.norm(d2) > 1e-6 and sine > 1e-6)
+    l1 = Line(_frame(q - t1 * d1, 1 / c), _frame(d1, 1 / c), CausalClass.SPACELIKE)
+    l2 = Line(_frame(q - t2 * d2, 1 / c), _frame(d2, 1 / c), CausalClass.SPACELIKE)
+    w = _frame(l2.point - l1.point, c)
+    ts = np.linalg.lstsq(np.stack([d1, -d2], axis=1), w, rcond=None)[0]
+    want = _frame(l1.at(float(ts[0])), c)
+    got = _frame(plane_through_lines(l1, l2, m).point, c)
+    _close_to_lstsq(got, want, sine, _frame(l1.point, c), _frame(l2.point, c))

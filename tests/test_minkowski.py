@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightcone import CausalClass, Metric, classify, inner, interval, on_null_cone
-from lightcone.minkowski import abs_inner, as_event
+from lightcone.minkowski import _abs_inner, _classify, _inner, abs_inner, as_event
 
 M4 = Metric(4, 1.0)
 
@@ -107,6 +107,37 @@ def test_inner_bilinear(a, b, r, s, t):
 def test_inner_symmetric_exactly(r, s):
     assert inner(r, s, M4) == inner(s, r, M4)
     assert inner(r, s, Metric(4, 343.0)) == inner(s, r, Metric(4, 343.0))
+
+
+SPEEDS = (0.1, 1.0, 343.0, 2.99792458e8)
+EPS = np.finfo(float).eps
+
+
+def _balanced_vec4(c):
+    # components of one order of magnitude in the balanced frame: the time one is ~1/c
+    return vec4.map(lambda x: np.array([x[0], x[1], x[2], x[3] / c]))
+
+
+@given(data=st.data(), c=st.sampled_from(SPEEDS), tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+@settings(max_examples=300)
+def test_float_kernels_match_numpy_forms(data, c, tol):
+    # the Python float kernels against the numpy forms they replaced: np.dot fuses
+    # multiply-adds, so they agree within a few roundings of abs_inner, not bit for bit
+    r, s = data.draw(_balanced_vec4(c)), data.draw(_balanced_vec4(c))
+    q = float(np.dot(r[:-1], s[:-1]) - c ** 2 * (r[-1] * s[-1]))
+    scale = float(np.dot(np.abs(r[:-1]), np.abs(s[:-1])) + c ** 2 * (abs(r[-1]) * abs(s[-1])))
+    rl, sl = r.tolist(), s.tolist()
+    bound = 4 * EPS * scale + np.finfo(float).tiny
+    assert abs(_inner(rl, sl, c) - q) <= bound
+    assert abs(_abs_inner(rl, sl, c) - scale) <= bound
+    assert _inner(rl, sl, c) == _inner(sl, rl, c)
+    d = r - s
+    space, time = float(np.dot(d[:-1], d[:-1])), c ** 2 * float(d[-1] * d[-1])
+    iv = space - time
+    if abs(abs(iv) - tol * (space + time)) > 4 * EPS * (space + time):  # off the band's edge
+        want = (CausalClass.LIGHTLIKE if abs(iv) <= tol * (space + time)
+                else CausalClass.SPACELIKE if iv > 0 else CausalClass.TIMELIKE)
+        assert _classify(d.tolist(), c, tol) is want
 
 
 @given(lam=st.floats(min_value=0.01, max_value=1000.0), sign=st.sampled_from([-1.0, 1.0]))
