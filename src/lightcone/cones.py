@@ -54,10 +54,16 @@ def _cross(a, b) -> list:
     return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def line_through(point, direction, m: Metric, tol: float = DEFAULT_TOL) -> Line:
-    point, direction = as_event(point, m), as_event(direction, m)
-    if not direction.any():
+def _direction(d, m: Metric) -> np.ndarray:
+    # the event check, and a line needs a nonzero direction
+    d = as_event(d, m)
+    if not d.any():
         raise ValueError("line direction must be nonzero")
+    return d
+
+
+def line_through(point, direction, m: Metric, tol: float = DEFAULT_TOL) -> Line:
+    point, direction = as_event(point, m), _direction(direction, m)
     return Line(point, direction, _classify(direction.tolist(), m.c, tol))
 
 
@@ -93,17 +99,22 @@ def classify_plane(p: Plane, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass
 def point_on_line(p, l: Line, tol: float = DEFAULT_TOL) -> bool:
     """Euclidean distance from p to the line is within tol, relative to the
     largest side of the triangle (l.point, l.point + l.direction, p).  A line
-    carries no metric, so the coordinates are taken as they are."""
-    return _within(_line_distance(np.asarray(p, dtype=float) - l.point, l.direction), 1.0, tol)
+    carries no metric, so the coordinates are taken as they are, and the probe
+    and the line get the event check of the line's dimension."""
+    m = Metric(len(l.point))  # only its n is read
+    w = as_event(p, m) - as_event(l.point, m)
+    return _within(_line_distance(w, _direction(l.direction, m)), 1.0, tol)
 
 
 def same_line(l1: Line, l2: Line, tol: float = 1e-9) -> bool:
     """Equality as point sets: probe each line at parameters {-1, 0, +1}
     of its unit direction and require the probes to lie on the other."""
     for a, b in ((l1, l2), (l2, l1)):
-        d = b.direction / _norm(b.direction)
+        m = Metric(len(b.point))
+        point, d = as_event(b.point, m), _direction(b.direction, m)
+        d = d / _norm(d)
         for t in (-1.0, 0.0, 1.0):
-            if not point_on_line(b.point + t * d, a, tol):
+            if not point_on_line(point + t * d, a, tol):
                 return False
     return True
 
@@ -139,9 +150,9 @@ def null_plane_through(l: Line, m: Metric) -> Plane:
         raise ValueError("null-plane construction is implemented for n = 3")
     if l.causal_class is not CausalClass.LIGHTLIKE:
         raise ValueError("line is not null")
-    d = l.direction
+    point, d = as_event(l.point, m), _direction(l.direction, m)
     u = np.array([-d[1], d[0], 0.0])
-    return Plane(l.point, (d.copy(), u), CausalClass.LIGHTLIKE)
+    return Plane(point, (d.copy(), u), CausalClass.LIGHTLIKE)
 
 
 def on_null_plane_algebraic(p, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> bool:
@@ -209,18 +220,24 @@ def plane_through_lines(l1: Line, l2: Line, m: Metric, tol: float = DEFAULT_TOL)
     point.  Rebuilds timelike planes out of null / spacelike line pairs.
     The sine, the meeting point and its distance from l2 are taken in the
     balanced frame, the point by a two-column Gram-Schmidt: t is the
-    coefficient of d1 once d2 is projected out of d1 and of the offset."""
+    coefficient of d1 once d2 is projected out of d1 and of the offset w.
+    The distance is relative to |t d1| and the two points, so the length of
+    either direction does not change the outcome."""
     u, v = as_event(l1.direction, m), as_event(l2.direction, m)
     d1, d2 = _frame(u.tolist(), m.c), _frame(v.tolist(), m.c)
     if _within(_sine(d1, d2), 1.0, tol):
         raise ValueError("lines are parallel or collinear: no unique plane")
     causal_class = _classify_span(u.tolist(), v.tolist(), m.c, tol)  # sine > 1e-6 from here on
     w = _frame(as_event(l2.point - l1.point, m).tolist(), m.c)
+    p1, p2 = as_event(l1.point, m), as_event(l2.point, m)
     r1, rw = (_minus(x, d2, _dot(x, d2) / _dot(d2, d2)) for x in (d1, w))
     t = _dot(r1, rw) / _dot(r1, r1)
-    if not _within(_line_distance([t * a - b for a, b in zip(d1, w)], d2), 1.0, tol):
+    # the miss t d1 - w off the line along d2 is t r1 - rw.  It carries the rounding
+    # of t d1 and of the two points w was taken from, whatever the length of d2
+    scale = max(abs(t) * math.hypot(*d1), *(math.hypot(*_frame(p.tolist(), m.c)) for p in (p1, p2)))
+    if not _within(math.hypot(*_minus(rw, r1, t)), scale, tol):
         raise ValueError("lines do not intersect (skew)")
-    return Plane(as_event(l1.point, m) + t * u, (u, v), causal_class)
+    return Plane(p1 + t * u, (u, v), causal_class)
 
 
 def transform_line(mp, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> Line:

@@ -3,8 +3,11 @@
 Files carry the metric (n and the invariant speed c) explicitly in a
 header so the convention always travels with the data.  Numbers are
 written through Python's shortest round-trip float repr, so reloading
-reproduces the exact binary values, and writing is byte-deterministic
-(sorted keys, fixed indentation).
+reproduces the exact binary values, and writing is byte-deterministic:
+every file is ``json.dumps(payload, sort_keys=True)`` with json's default
+separators, on one line with a trailing newline.  ``python -m json.tool
+FILE`` shows one indented.  Files in the older ``indent=2`` layout load
+as they did.
 """
 
 from __future__ import annotations
@@ -29,10 +32,16 @@ class SampleFormatError(ValueError):
     """The file is not a well-formed sample file."""
 
 
+#: rows of ``pairs`` per ``json.dumps`` call in ``save_samples``: one call per
+#: file would hold every piece and the joined text at once
+_BLOCK = 256
+
+
 def _dump(path: str, payload: dict) -> None:
+    # json.dumps, not json.dump: only the one-shot call takes json's C encoder
+    text = json.dumps(payload, sort_keys=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def save_samples(path: str, s: SampleSet, seed=None, kind=None) -> None:
@@ -53,10 +62,18 @@ def save_samples(path: str, s: SampleSet, seed=None, kind=None) -> None:
         "metric": {"n": s.metric.n, "c": s.metric.c},
         "seed": seed,
         "kind": kind,
-        "pairs": [{"x": list(x), "y": list(y)} for x, y in zip(s.x, s.y)],
         "markers": markers,
     }
-    _dump(path, payload)
+    # the bytes of _dump with "pairs" in place, its rows encoded a block at a time
+    head = json.dumps({k: v for k, v in payload.items() if k < "pairs"}, sort_keys=True)
+    tail = json.dumps({k: v for k, v in payload.items() if k > "pairs"}, sort_keys=True)
+    with open(path, "w") as fh:
+        fh.write(head[:-1] + ', "pairs": [')
+        for i in range(0, len(s.x), _BLOCK):
+            rows = zip(s.x[i:i + _BLOCK].tolist(), s.y[i:i + _BLOCK].tolist())
+            block = json.dumps([{"x": x, "y": y} for x, y in rows])
+            fh.write((", " if i else "") + block[1:-1])
+        fh.write("], " + tail[1:] + "\n")
 
 
 def _number(value, what: str) -> float:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lightcone import (
@@ -338,6 +338,10 @@ def test_intersect_planes_point_matches_lstsq(c, p1, u1, v1, p2, u2, v2):
 
 @given(c=st.sampled_from(SPEEDS), q=_vec3, d1=_vec3, d2=_vec3, t1=_coord, t2=_coord)
 @settings(max_examples=300, deadline=None)
+# a short d2: the miss t d1 - w is rounding of the size of w, and was once measured
+# against |d2|, so these intersecting lines were refused as skew
+@example(c=0.1, q=np.zeros(3), d1=np.array([0.0, 0.0, 1.7583998467465296]),
+         d2=np.array([1e-6, 9.473442411961124e-07, 0.0]), t1=9.0, t2=0.0)
 def test_plane_through_lines_meeting_point_matches_lstsq(c, q, d1, d2, t1, t2):
     # two lines through q, drawn in the balanced frame: the Gram-Schmidt meeting
     # point against numpy's least-squares solve of [d1, -d2] (t, s) = w there
@@ -351,3 +355,38 @@ def test_plane_through_lines_meeting_point_matches_lstsq(c, q, d1, d2, t1, t2):
     want = _frame(l1.at(float(ts[0])), c)
     got = _frame(plane_through_lines(l1, l2, m).point, c)
     _close_to_lstsq(got, want, sine, _frame(l1.point, c), _frame(l2.point, c))
+
+
+def _through_lines(l1, l2, m):
+    # the class of the plane, or the refusal's message
+    try:
+        return plane_through_lines(l1, l2, m).causal_class
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(c=st.sampled_from(SPEEDS), q=_vec3, d1=_vec3, d2=_vec3, t1=_coord, t2=_coord,
+       skew=st.sampled_from([0.0, 0.01, 1.0]), which=st.sampled_from([0, 1]),
+       k=st.floats(min_value=1e-6, max_value=1e6))
+@settings(max_examples=300, deadline=None)
+@example(c=0.1, q=np.zeros(3), d1=np.array([0.0, 0.0, 1.7583998467465296]),
+         d2=np.array([1.0, 0.9473442411961124, 0.0]), t1=9.0, t2=0.0, skew=0.0, which=1, k=1e-6)
+def test_plane_through_lines_ignores_direction_lengths(c, q, d1, d2, t1, t2, skew, which, k):
+    # two lines through q, or l2 moved off l1 along their common normal by `skew`
+    # times the size of the problem, drawn in the balanced frame: rescaling either
+    # direction by k keeps the class, the refusal and the meeting point
+    m = Metric(3, c)
+    assume(np.linalg.norm(d1) > 1e-6 and np.linalg.norm(d2) > 1e-6 and _sine(d1, d2) > 1e-5)
+    normal = np.cross(d1, d2) / np.linalg.norm(np.cross(d1, d2))
+    size = max(1.0, np.linalg.norm(t1 * d1), np.linalg.norm(t2 * d2))
+    p1, p2 = q - t1 * d1, q - t2 * d2 + skew * size * normal
+    lines = [Line(_frame(p, 1 / c), _frame(d, 1 / c), CausalClass.SPACELIKE)
+             for p, d in ((p1, d1), (p2, d2))]
+    scaled = list(lines)
+    scaled[which] = Line(lines[which].point, k * lines[which].direction, CausalClass.SPACELIKE)
+    want = _through_lines(*lines, m)
+    assert _through_lines(*scaled, m) == want
+    assert (want == "lines do not intersect (skew)") == (skew > 0)
+    if skew == 0:
+        got = _frame(plane_through_lines(*scaled, m).point, c)
+        np.testing.assert_allclose(got, q, rtol=0, atol=1e-12 / _sine(d1, d2) * 4 * size)

@@ -11,7 +11,11 @@ deliberate changes: a non-finite or misshapen span vector or line direction
 of ``intersect_planes``, ``intersect_null_planes`` and
 ``plane_through_lines`` gets the event check's own message (it reached
 numpy's least-squares solver before, whose errors leaked), and every
-function of ``cones`` refuses a negative tolerance.
+function of ``cones`` refuses a negative tolerance.  The rows of
+``null_plane_through``, ``point_on_line`` and ``same_line`` came later:
+those functions returned a plane with NaN, misshapen or zero spans, or
+False, for a bad line or probe, and now give the event check's message or
+the zero-direction refusal of ``line_through``.
 
 The Python float forms that replaced numpy calls on 3-vectors and a few
 ratios (``cones._cross``, ``boost._median``) must equal those calls bit
@@ -117,6 +121,25 @@ def _rows():
     rows["cones.tangent_cone_intersection[tol]"] = (
         cones.tangent_cone_intersection, (O3, O3 + DN, M3, -1e-9))
 
+    for field in ("point", "direction"):
+        for fault in FAULTS:
+            rows[f"cones.null_plane_through[line-{field}-{fault}]"] = (
+                cones.null_plane_through, (_line(NULL_LINE, field, fault), M3))
+            rows[f"cones.point_on_line[line-{field}-{fault}]"] = (
+                cones.point_on_line, (O3 + DN, _line(NULL_LINE, field, fault)))
+            for which in (0, 1):
+                lines = [NULL_LINE, NULL_LINE]
+                lines[which] = _line(NULL_LINE, field, fault)
+                rows[f"cones.same_line[line{which}-{field}-{fault}]"] = (cones.same_line, lines)
+    zero = Line(O3, np.zeros(3), CC.LIGHTLIKE)
+    rows["cones.null_plane_through[zero]"] = (cones.null_plane_through, (zero, M3))
+    rows["cones.point_on_line[zero]"] = (cones.point_on_line, (O3 + DN, zero))
+    rows["cones.same_line[zero]"] = (cones.same_line, (NULL_LINE, zero))
+    for fault in FAULTS:
+        rows[f"cones.point_on_line[p-{fault}]"] = (
+            cones.point_on_line, (_bad(O3 + DN, fault), NULL_LINE))
+    rows["cones.point_on_line[tol]"] = (cones.point_on_line, (O3 + DN, NULL_LINE, -1e-9))
+
     on_plane = O3 + DN + 3.0 * UY
     for name in ("on_null_plane_algebraic", "on_null_plane_by_characterization"):
         fn = getattr(cones, name)
@@ -216,6 +239,7 @@ def _outcome(fn, args):
 
 NON_FINITE = ('raises', 'ValueError', 'event has non-finite components')
 SHAPE_4_NOT_3 = ('raises', 'ValueError', 'event has shape (4,), expected (3,)')
+SHAPE_3_NOT_4 = ('raises', 'ValueError', 'event has shape (3,), expected (4,)')
 SHAPE_5_NOT_4 = ('raises', 'ValueError', 'event has shape (5,), expected (4,)')
 NOT_CONFORMAL_NAN = (
     'raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation nan)')
@@ -224,6 +248,7 @@ NOT_CROSSABLE = (
     'raises', 'ValueError', 'incompatible dimensions for cross product\n(dimension must be 2 or 3)')
 V_IS_C = ('raises', 'ValueError', 'degenerate velocity: |v|=2.0 must be < c=2.0')
 FALSE = ('returns', 'False')
+ZERO_DIRECTION = ('raises', 'ValueError', 'line direction must be nonzero')
 
 #: Each row's outcome, taken by _outcome (see the module docstring).
 EXPECTED = {
@@ -394,6 +419,15 @@ EXPECTED = {
     'cones.line_through[tol]': NEGATIVE_TOL,
     'cones.line_through[tol-and-zero]': ('raises', 'ValueError', 'line direction must be nonzero'),
     'cones.line_through[zero]': ('raises', 'ValueError', 'line direction must be nonzero'),
+    'cones.null_plane_through[line-direction-+inf]': NON_FINITE,
+    'cones.null_plane_through[line-direction--inf]': NON_FINITE,
+    'cones.null_plane_through[line-direction-nan]': NON_FINITE,
+    'cones.null_plane_through[line-direction-shape]': SHAPE_4_NOT_3,
+    'cones.null_plane_through[line-point-+inf]': NON_FINITE,
+    'cones.null_plane_through[line-point--inf]': NON_FINITE,
+    'cones.null_plane_through[line-point-nan]': NON_FINITE,
+    'cones.null_plane_through[line-point-shape]': SHAPE_4_NOT_3,
+    'cones.null_plane_through[zero]': ZERO_DIRECTION,
     'cones.on_null_plane_algebraic[line-direction-+inf]': NON_FINITE,
     'cones.on_null_plane_algebraic[line-direction--inf]': NON_FINITE,
     'cones.on_null_plane_algebraic[line-direction-nan]': NON_FINITE,
@@ -460,6 +494,37 @@ EXPECTED = {
         ('raises', 'ValueError', 'lines are parallel or collinear: no unique plane'),
     'cones.plane_through_lines[skew]': ('raises', 'ValueError', 'lines do not intersect (skew)'),
     'cones.plane_through_lines[tol]': NEGATIVE_TOL,
+    'cones.point_on_line[line-direction-+inf]': NON_FINITE,
+    'cones.point_on_line[line-direction--inf]': NON_FINITE,
+    'cones.point_on_line[line-direction-nan]': NON_FINITE,
+    'cones.point_on_line[line-direction-shape]': SHAPE_4_NOT_3,
+    'cones.point_on_line[line-point-+inf]': NON_FINITE,
+    'cones.point_on_line[line-point--inf]': NON_FINITE,
+    'cones.point_on_line[line-point-nan]': NON_FINITE,
+    'cones.point_on_line[line-point-shape]': SHAPE_3_NOT_4,
+    'cones.point_on_line[p-+inf]': NON_FINITE,
+    'cones.point_on_line[p--inf]': NON_FINITE,
+    'cones.point_on_line[p-nan]': NON_FINITE,
+    'cones.point_on_line[p-shape]': SHAPE_4_NOT_3,
+    'cones.point_on_line[tol]': NEGATIVE_TOL,
+    'cones.point_on_line[zero]': ZERO_DIRECTION,
+    'cones.same_line[line0-direction-+inf]': NON_FINITE,
+    'cones.same_line[line0-direction--inf]': NON_FINITE,
+    'cones.same_line[line0-direction-nan]': NON_FINITE,
+    'cones.same_line[line0-direction-shape]': SHAPE_4_NOT_3,
+    'cones.same_line[line0-point-+inf]': NON_FINITE,
+    'cones.same_line[line0-point--inf]': NON_FINITE,
+    'cones.same_line[line0-point-nan]': NON_FINITE,
+    'cones.same_line[line0-point-shape]': SHAPE_3_NOT_4,
+    'cones.same_line[line1-direction-+inf]': NON_FINITE,
+    'cones.same_line[line1-direction--inf]': NON_FINITE,
+    'cones.same_line[line1-direction-nan]': NON_FINITE,
+    'cones.same_line[line1-direction-shape]': SHAPE_4_NOT_3,
+    'cones.same_line[line1-point-+inf]': NON_FINITE,
+    'cones.same_line[line1-point--inf]': NON_FINITE,
+    'cones.same_line[line1-point-nan]': NON_FINITE,
+    'cones.same_line[line1-point-shape]': SHAPE_3_NOT_4,
+    'cones.same_line[zero]': ZERO_DIRECTION,
     'cones.tangent_cone_intersection[arg0-+inf]': NON_FINITE,
     'cones.tangent_cone_intersection[arg0--inf]': NON_FINITE,
     'cones.tangent_cone_intersection[arg0-nan]': NON_FINITE,
