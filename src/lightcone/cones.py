@@ -234,7 +234,8 @@ def plane_through_lines(l1: Line, l2: Line, m: Metric, tol: float = DEFAULT_TOL)
     t = _dot(r1, rw) / _dot(r1, r1)
     # the miss t d1 - w off the line along d2 is t r1 - rw.  It carries the rounding
     # of t d1 and of the two points w was taken from, whatever the length of d2
-    scale = max(abs(t) * math.hypot(*d1), *(math.hypot(*_frame(p.tolist(), m.c)) for p in (p1, p2)))
+    sizes = (math.hypot(*_frame(p.tolist(), m.c)) for p in (p1, p2))
+    scale = max(abs(t) * math.hypot(*d1), *sizes)
     if not _within(math.hypot(*_minus(rw, r1, t)), scale, tol):
         raise ValueError("lines do not intersect (skew)")
     return Plane(p1 + t * u, (u, v), causal_class)
