@@ -13,11 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import sub
+from sys import float_info
 
 import numpy as np
 
 from .minkowski import (DEFAULT_TOL, CausalClass, Metric, _abs_inner, _classify, _dot, _frame,
                         _inner, _line_distance, _minus, _sine, _within, as_event)
+
+_EPS = float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -96,25 +99,39 @@ def classify_plane(p: Plane, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass
     return classify_span(p.span[0], p.span[1], m, tol)
 
 
+def _line_parts(l: Line) -> tuple[np.ndarray, np.ndarray]:
+    # a line carries no metric: its point and direction must agree in shape, which
+    # gives the dimension, then each gets the event check and the direction its refusal
+    point, d = np.asarray(l.point, dtype=float), np.asarray(l.direction, dtype=float)
+    if point.ndim != 1 or point.shape != d.shape:
+        raise ValueError(f"line has point shape {point.shape} and direction shape {d.shape}, "
+                         "expected one shape (n,)")
+    m = Metric(point.size)  # only its n is read
+    return as_event(point, m), _direction(d, m)
+
+
+def _on_line(p, point, d, tol: float) -> bool:
+    return _within(_line_distance(p - point, d), 1.0, tol)
+
+
 def point_on_line(p, l: Line, tol: float = DEFAULT_TOL) -> bool:
     """Euclidean distance from p to the line is within tol, relative to the
     largest side of the triangle (l.point, l.point + l.direction, p).  A line
     carries no metric, so the coordinates are taken as they are, and the probe
-    and the line get the event check of the line's dimension."""
-    m = Metric(len(l.point))  # only its n is read
-    w = as_event(p, m) - as_event(l.point, m)
-    return _within(_line_distance(w, _direction(l.direction, m)), 1.0, tol)
+    gets the event check of the line's dimension."""
+    point, d = _line_parts(l)
+    return _on_line(as_event(p, Metric(point.size)), point, d, tol)
 
 
 def same_line(l1: Line, l2: Line, tol: float = 1e-9) -> bool:
     """Equality as point sets: probe each line at parameters {-1, 0, +1}
     of its unit direction and require the probes to lie on the other."""
-    for a, b in ((l1, l2), (l2, l1)):
-        m = Metric(len(b.point))
-        point, d = as_event(b.point, m), _direction(b.direction, m)
+    a, b = _line_parts(l1), _line_parts(l2)
+    as_event(b[0], Metric(a[0].size))  # both lines in one dimension
+    for (point, d), (on_point, on_d) in ((b, a), (a, b)):
         d = d / _norm(d)
         for t in (-1.0, 0.0, 1.0):
-            if not point_on_line(point + t * d, a, tol):
+            if not _on_line(point + t * d, on_point, on_d, tol):
                 return False
     return True
 
@@ -221,22 +238,25 @@ def plane_through_lines(l1: Line, l2: Line, m: Metric, tol: float = DEFAULT_TOL)
     The sine, the meeting point and its distance from l2 are taken in the
     balanced frame, the point by a two-column Gram-Schmidt: t is the
     coefficient of d1 once d2 is projected out of d1 and of the offset w.
-    The distance is relative to |t d1| and the two points, so the length of
-    either direction does not change the outcome."""
+    The distance is relative to |t d1| and |w|, so neither the length of
+    either direction nor where the origin lies changes the outcome, beyond
+    an absolute allowance of 4 eps of the larger point for the rounding the
+    given points were built with."""
     u, v = as_event(l1.direction, m), as_event(l2.direction, m)
     d1, d2 = _frame(u.tolist(), m.c), _frame(v.tolist(), m.c)
     if _within(_sine(d1, d2), 1.0, tol):
         raise ValueError("lines are parallel or collinear: no unique plane")
     causal_class = _classify_span(u.tolist(), v.tolist(), m.c, tol)  # sine > 1e-6 from here on
-    w = _frame(as_event(l2.point - l1.point, m).tolist(), m.c)
     p1, p2 = as_event(l1.point, m), as_event(l2.point, m)
+    w = _frame((p2 - p1).tolist(), m.c)
     r1, rw = (_minus(x, d2, _dot(x, d2) / _dot(d2, d2)) for x in (d1, w))
     t = _dot(r1, rw) / _dot(r1, r1)
-    # the miss t d1 - w off the line along d2 is t r1 - rw.  It carries the rounding
-    # of t d1 and of the two points w was taken from, whatever the length of d2
-    sizes = (math.hypot(*_frame(p.tolist(), m.c)) for p in (p1, p2))
-    scale = max(abs(t) * math.hypot(*d1), *sizes)
-    if not _within(math.hypot(*_minus(rw, r1, t)), scale, tol):
+    # the miss t d1 - w off the line along d2 is t r1 - rw.  It carries the rounding of
+    # t d1 and of w, whatever the length of d2, and that of the points as they were
+    # built, which is absolute: a floor that tol does not multiply
+    miss = math.hypot(*_minus(rw, r1, t))
+    floor = 4 * _EPS * max(math.hypot(*_frame(p.tolist(), m.c)) for p in (p1, p2))
+    if not _within(max(miss - floor, 0.0), max(abs(t) * math.hypot(*d1), math.hypot(*w)), tol):
         raise ValueError("lines do not intersect (skew)")
     return Plane(p1 + t * u, (u, v), causal_class)
 

@@ -365,23 +365,31 @@ def _through_lines(l1, l2, m):
         return str(exc)
 
 
-@given(c=st.sampled_from(SPEEDS), q=_vec3, d1=_vec3, d2=_vec3, t1=_coord, t2=_coord,
-       skew=st.sampled_from([0.0, 0.01, 1.0]), which=st.sampled_from([0, 1]),
-       k=st.floats(min_value=1e-6, max_value=1e6))
+def _line_pair(c, q, d1, d2, t1, t2, skew, shift=np.zeros(3)):
+    # two lines through q, or l2 moved off l1 along their common normal by `skew`
+    # times the size of the problem, both moved by `shift`; drawn in the balanced
+    # frame and taken back to raw coordinates.  Returns the lines and the size
+    normal = np.cross(d1, d2) / np.linalg.norm(np.cross(d1, d2))
+    size = max(1.0, np.linalg.norm(t1 * d1), np.linalg.norm(t2 * d2))
+    p1, p2 = q - t1 * d1, q - t2 * d2 + skew * size * normal
+    lines = [Line(_frame(p + shift, 1 / c), _frame(d, 1 / c), CausalClass.SPACELIKE)
+             for p, d in ((p1, d1), (p2, d2))]
+    return lines, size
+
+
+_pair = dict(c=st.sampled_from(SPEEDS), q=_vec3, d1=_vec3, d2=_vec3, t1=_coord, t2=_coord,
+             skew=st.sampled_from([0.0, 0.01, 1.0]))
+
+
+@given(**_pair, which=st.sampled_from([0, 1]), k=st.floats(min_value=1e-6, max_value=1e6))
 @settings(max_examples=300, deadline=None)
 @example(c=0.1, q=np.zeros(3), d1=np.array([0.0, 0.0, 1.7583998467465296]),
          d2=np.array([1.0, 0.9473442411961124, 0.0]), t1=9.0, t2=0.0, skew=0.0, which=1, k=1e-6)
 def test_plane_through_lines_ignores_direction_lengths(c, q, d1, d2, t1, t2, skew, which, k):
-    # two lines through q, or l2 moved off l1 along their common normal by `skew`
-    # times the size of the problem, drawn in the balanced frame: rescaling either
-    # direction by k keeps the class, the refusal and the meeting point
+    # rescaling either direction by k keeps the class, the refusal and the meeting point
     m = Metric(3, c)
     assume(np.linalg.norm(d1) > 1e-6 and np.linalg.norm(d2) > 1e-6 and _sine(d1, d2) > 1e-5)
-    normal = np.cross(d1, d2) / np.linalg.norm(np.cross(d1, d2))
-    size = max(1.0, np.linalg.norm(t1 * d1), np.linalg.norm(t2 * d2))
-    p1, p2 = q - t1 * d1, q - t2 * d2 + skew * size * normal
-    lines = [Line(_frame(p, 1 / c), _frame(d, 1 / c), CausalClass.SPACELIKE)
-             for p, d in ((p1, d1), (p2, d2))]
+    lines, size = _line_pair(c, q, d1, d2, t1, t2, skew)
     scaled = list(lines)
     scaled[which] = Line(lines[which].point, k * lines[which].direction, CausalClass.SPACELIKE)
     want = _through_lines(*lines, m)
@@ -390,3 +398,36 @@ def test_plane_through_lines_ignores_direction_lengths(c, q, d1, d2, t1, t2, ske
     if skew == 0:
         got = _frame(plane_through_lines(*scaled, m).point, c)
         np.testing.assert_allclose(got, q, rtol=0, atol=1e-12 / _sine(d1, d2) * 4 * size)
+
+
+_far = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_subnormal=False)
+
+
+@given(**_pair, shift=st.tuples(_far, _far, _far).map(np.array))
+@settings(max_examples=300, deadline=None)
+def test_plane_through_lines_ignores_the_origin(c, q, d1, d2, t1, t2, skew, shift):
+    # moving both lines by up to 1e6 in the balanced frame keeps the class, the
+    # refusal and the meeting point: the skew test is not relative to the points' size
+    m = Metric(3, c)
+    assume(np.linalg.norm(d1) > 1e-6 and np.linalg.norm(d2) > 1e-6 and _sine(d1, d2) > 1e-5)
+    want = _through_lines(*_line_pair(c, q, d1, d2, t1, t2, skew)[0], m)
+    lines, size = _line_pair(c, q, d1, d2, t1, t2, skew, shift)
+    assert _through_lines(*lines, m) == want
+    assert (want == "lines do not intersect (skew)") == (skew > 0)
+    if skew == 0:
+        got = _frame(plane_through_lines(*lines, m).point, c) - shift
+        atol = 1e-12 / _sine(d1, d2) * 4 * (size + np.linalg.norm(shift))
+        np.testing.assert_allclose(got, q, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("c, p1, d1, p2, d2", [
+    # 0.2 m apart at t = 1 s with SI c: about 3e8 m from the origin in the balanced frame
+    (2.99792458e8, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.2, 1.0], [0.0, 0.0, 1e-8]),
+    # 0.01 apart, 1e6 from the origin
+    (1.0, [1e6, 1e6, 1e6], [1.0, 0.0, 0.0], [1e6, 1e6 + 0.01, 1e6], [0.0, 0.0, 1.0]),
+])
+def test_plane_through_lines_refuses_skew_pairs_far_from_the_origin(c, p1, d1, p2, d2):
+    l1 = Line(np.array(p1), np.array(d1), CausalClass.SPACELIKE)
+    l2 = Line(np.array(p2), np.array(d2), CausalClass.TIMELIKE)
+    with pytest.raises(ValueError, match="skew"):
+        plane_through_lines(l1, l2, Metric(3, c))

@@ -15,7 +15,12 @@ function of ``cones`` refuses a negative tolerance.  The rows of
 ``null_plane_through``, ``point_on_line`` and ``same_line`` came later:
 those functions returned a plane with NaN, misshapen or zero spans, or
 False, for a bad line or probe, and now give the event check's message or
-the zero-direction refusal of ``line_through``.
+the zero-direction refusal of ``line_through``.  A line passed without a
+metric (to ``point_on_line`` and ``same_line``) whose point and direction
+differ in shape is refused with both shapes named, since neither fixes the
+dimension.  ``plane_through_lines[line{0,1}-point-shape]`` read numpy's
+broadcast error until the offset of the two points was taken from the
+checked points; they now read the event check's message.
 
 The Python float forms that replaced numpy calls on 3-vectors and a few
 ratios (``cones._cross``, ``boost._median``) must equal those calls bit
@@ -139,6 +144,11 @@ def _rows():
         rows[f"cones.point_on_line[p-{fault}]"] = (
             cones.point_on_line, (_bad(O3 + DN, fault), NULL_LINE))
     rows["cones.point_on_line[tol]"] = (cones.point_on_line, (O3 + DN, NULL_LINE, -1e-9))
+    scalar_point = dataclasses.replace(NULL_LINE, point=np.float64(1.0))
+    rows["cones.point_on_line[line-point-0d]"] = (cones.point_on_line, (O3 + DN, scalar_point))
+    rows["cones.same_line[line1-point-0d]"] = (cones.same_line, (NULL_LINE, scalar_point))
+    rows["cones.same_line[dimensions]"] = (
+        cones.same_line, (NULL_LINE, Line(R4, S4, CC.SPACELIKE)))
 
     on_plane = O3 + DN + 3.0 * UY
     for name in ("on_null_plane_algebraic", "on_null_plane_by_characterization"):
@@ -239,7 +249,6 @@ def _outcome(fn, args):
 
 NON_FINITE = ('raises', 'ValueError', 'event has non-finite components')
 SHAPE_4_NOT_3 = ('raises', 'ValueError', 'event has shape (4,), expected (3,)')
-SHAPE_3_NOT_4 = ('raises', 'ValueError', 'event has shape (3,), expected (4,)')
 SHAPE_5_NOT_4 = ('raises', 'ValueError', 'event has shape (5,), expected (4,)')
 NOT_CONFORMAL_NAN = (
     'raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation nan)')
@@ -249,6 +258,10 @@ NOT_CROSSABLE = (
 V_IS_C = ('raises', 'ValueError', 'degenerate velocity: |v|=2.0 must be < c=2.0')
 FALSE = ('returns', 'False')
 ZERO_DIRECTION = ('raises', 'ValueError', 'line direction must be nonzero')
+LONG_POINT = ('raises', 'ValueError',
+              'line has point shape (4,) and direction shape (3,), expected one shape (n,)')
+LONG_DIRECTION = ('raises', 'ValueError',
+                  'line has point shape (3,) and direction shape (4,), expected one shape (n,)')
 
 #: Each row's outcome, taken by _outcome (see the module docstring).
 EXPECTED = {
@@ -479,8 +492,7 @@ EXPECTED = {
     'cones.plane_through_lines[line0-point-+inf]': NON_FINITE,
     'cones.plane_through_lines[line0-point--inf]': NON_FINITE,
     'cones.plane_through_lines[line0-point-nan]': NON_FINITE,
-    'cones.plane_through_lines[line0-point-shape]':
-        ('raises', 'ValueError', 'operands could not be broadcast together with shapes (3,) (4,) '),
+    'cones.plane_through_lines[line0-point-shape]': SHAPE_4_NOT_3,
     'cones.plane_through_lines[line1-direction-+inf]': NON_FINITE,
     'cones.plane_through_lines[line1-direction--inf]': NON_FINITE,
     'cones.plane_through_lines[line1-direction-nan]': NON_FINITE,
@@ -488,8 +500,7 @@ EXPECTED = {
     'cones.plane_through_lines[line1-point-+inf]': NON_FINITE,
     'cones.plane_through_lines[line1-point--inf]': NON_FINITE,
     'cones.plane_through_lines[line1-point-nan]': NON_FINITE,
-    'cones.plane_through_lines[line1-point-shape]':
-        ('raises', 'ValueError', 'operands could not be broadcast together with shapes (4,) (3,) '),
+    'cones.plane_through_lines[line1-point-shape]': SHAPE_4_NOT_3,
     'cones.plane_through_lines[parallel]':
         ('raises', 'ValueError', 'lines are parallel or collinear: no unique plane'),
     'cones.plane_through_lines[skew]': ('raises', 'ValueError', 'lines do not intersect (skew)'),
@@ -497,11 +508,13 @@ EXPECTED = {
     'cones.point_on_line[line-direction-+inf]': NON_FINITE,
     'cones.point_on_line[line-direction--inf]': NON_FINITE,
     'cones.point_on_line[line-direction-nan]': NON_FINITE,
-    'cones.point_on_line[line-direction-shape]': SHAPE_4_NOT_3,
+    'cones.point_on_line[line-direction-shape]': LONG_DIRECTION,
     'cones.point_on_line[line-point-+inf]': NON_FINITE,
     'cones.point_on_line[line-point--inf]': NON_FINITE,
     'cones.point_on_line[line-point-nan]': NON_FINITE,
-    'cones.point_on_line[line-point-shape]': SHAPE_3_NOT_4,
+    'cones.point_on_line[line-point-0d]':
+        ('raises', 'ValueError', 'line has point shape () and direction shape (3,), expected one shape (n,)'),
+    'cones.point_on_line[line-point-shape]': LONG_POINT,
     'cones.point_on_line[p-+inf]': NON_FINITE,
     'cones.point_on_line[p--inf]': NON_FINITE,
     'cones.point_on_line[p-nan]': NON_FINITE,
@@ -511,19 +524,22 @@ EXPECTED = {
     'cones.same_line[line0-direction-+inf]': NON_FINITE,
     'cones.same_line[line0-direction--inf]': NON_FINITE,
     'cones.same_line[line0-direction-nan]': NON_FINITE,
-    'cones.same_line[line0-direction-shape]': SHAPE_4_NOT_3,
+    'cones.same_line[line0-direction-shape]': LONG_DIRECTION,
     'cones.same_line[line0-point-+inf]': NON_FINITE,
     'cones.same_line[line0-point--inf]': NON_FINITE,
     'cones.same_line[line0-point-nan]': NON_FINITE,
-    'cones.same_line[line0-point-shape]': SHAPE_3_NOT_4,
+    'cones.same_line[line0-point-shape]': LONG_POINT,
     'cones.same_line[line1-direction-+inf]': NON_FINITE,
     'cones.same_line[line1-direction--inf]': NON_FINITE,
     'cones.same_line[line1-direction-nan]': NON_FINITE,
-    'cones.same_line[line1-direction-shape]': SHAPE_4_NOT_3,
+    'cones.same_line[line1-direction-shape]': LONG_DIRECTION,
     'cones.same_line[line1-point-+inf]': NON_FINITE,
     'cones.same_line[line1-point--inf]': NON_FINITE,
     'cones.same_line[line1-point-nan]': NON_FINITE,
-    'cones.same_line[line1-point-shape]': SHAPE_3_NOT_4,
+    'cones.same_line[line1-point-0d]':
+        ('raises', 'ValueError', 'line has point shape () and direction shape (3,), expected one shape (n,)'),
+    'cones.same_line[line1-point-shape]': LONG_POINT,
+    'cones.same_line[dimensions]': SHAPE_4_NOT_3,
     'cones.same_line[zero]': ZERO_DIRECTION,
     'cones.tangent_cone_intersection[arg0-+inf]': NON_FINITE,
     'cones.tangent_cone_intersection[arg0--inf]': NON_FINITE,
