@@ -211,10 +211,11 @@ def decompose_conformal(M, m: Metric, tol: float = 1e-9) -> tuple[float, np.ndar
     """
     M, G, S, eta1 = _balanced_gram(M, m)
     lam = _median([g / e for g, e in zip(G[::m.n + 1], eta1[::m.n + 1])])
-    floor = max(1.0, abs(lam))  # the scale of each entry is max(1, S, |lam|)
+    floor = abs(lam)  # the scale of each entry is max(S, |lam|): both scale as M^2
     if not all(abs(g - lam * e) <= tol * (s if s > floor else floor)
                for g, e, s in zip(G, eta1, S)):
-        worst = [abs(g - lam * e) / (s if s > floor else floor) for g, e, s in zip(G, eta1, S)]
+        scaled = ((abs(g - lam * e), s if s > floor else floor) for g, e, s in zip(G, eta1, S))
+        worst = [d / s for d, s in scaled if not d <= tol * s]  # out of the band, so s > 0
         raise NotConformalError("M^T eta M is not proportional to eta (worst relative deviation "
                                 f"{math.nan if any(w != w for w in worst) else max(worst):.3e})")
     if lam <= 0:

@@ -17,8 +17,9 @@ from sys import float_info
 
 import numpy as np
 
-from .minkowski import (DEFAULT_TOL, CausalClass, Metric, _abs_inner, _classify, _dot, _frame,
-                        _inner, _line_distance, _minus, _sine, _within, as_event)
+from .minkowski import (_LIGHTLIKE, _SPACELIKE, _TIMELIKE, DEFAULT_TOL, CausalClass, Metric,
+                        _abs_inner, _classify, _dot, _event, _frame, _inner, _line_distance,
+                        _minus, _within, as_event)
 
 _EPS = float_info.epsilon
 
@@ -57,42 +58,64 @@ def _cross(a, b) -> list:
     return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def _direction(d, m: Metric) -> np.ndarray:
+def _direction(d, m: Metric) -> tuple[np.ndarray, list]:
     # the event check, and a line needs a nonzero direction
-    d = as_event(d, m)
-    if not d.any():
+    d, dl = _event(d, m)
+    if not any(dl):
         raise ValueError("line direction must be nonzero")
-    return d
+    return d, dl
 
 
 def line_through(point, direction, m: Metric, tol: float = DEFAULT_TOL) -> Line:
-    point, direction = as_event(point, m), _direction(direction, m)
-    return Line(point, direction, _classify(direction.tolist(), m.c, tol))
+    point, (d, dl) = _event(point, m)[0], _direction(direction, m)
+    return Line(point, d, _classify(dl, m.c, tol))
 
 
 def classify_span(u, v, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
     """Causal class of the plane spanned by u and v via the sign of the
     Gram determinant: zero -> null, negative -> timelike, positive ->
     spacelike."""
-    return _classify_span(as_event(u, m).tolist(), as_event(v, m).tolist(), m.c, tol)
+    return _span_class(*_span(_event(u, m)[1], _event(v, m)[1], m.c)[:3], tol)
 
 
-def _classify_span(u, v, c: float, tol: float) -> CausalClass:
+def _span(u, v, c: float) -> tuple:
+    # one walk over the spatial coordinates sums what _sine(_frame(u, c), _frame(v, c)) and
+    # the _inner and _abs_inner of (u, u), (v, v), (u, v) sum, in their order.  Returns that
+    # sine, the Gram determinant, its scale, fu, fv, fv.fv and r = fu less its part along fv
+    us, ut, vs, vt = u[:-1], u[-1], v[:-1], v[-1]
+    uu = vv = uv = auv = 0.0
+    for a, b in zip(us, vs):
+        ab = a * b
+        uu += a * a
+        vv += b * b
+        uv += ab
+        auv += abs(ab)
+    tu, tv, c2 = ut * c, vt * c, c ** 2
+    fuu, fvv = uu + tu * tu, vv + tv * tv
+    fu, fv, r, sine = [*us, tu], [*vs, tv], None, 0.0
+    if fuu and fvv:
+        t = (uv + tu * tv) / fvv
+        r = [a - t * b for a, b in zip(fu, fv)]  # _minus(fu, fv, t)
+        sine = math.hypot(*r) / math.sqrt(fuu)
+    guv = uv - c2 * (ut * vt)
+    det = (uu - c2 * (ut * ut)) * (vv - c2 * (vt * vt)) - guv * guv
+    scale = (uu + c2 * (ut * ut)) * (vv + c2 * (vt * vt)) + (auv + c2 * abs(ut * vt)) ** 2
+    return sine, det, scale, fu, fv, fvv, r
+
+
+def _span_class(sine: float, det: float, scale: float, tol: float) -> CausalClass:
     # independence is a Euclidean question, not a metric one: a null plane
     # has zero metric Gram determinant with a perfectly independent span
-    if _sine(_frame(u, c), _frame(v, c)) <= 1e-6:
+    if sine <= 1e-6:
         raise ValueError("span vectors are linearly dependent")
-    guu, gvv, guv = _inner(u, u, c), _inner(v, v, c), _inner(u, v, c)
-    det = guu * gvv - guv * guv
-    scale = _abs_inner(u, u, c) * _abs_inner(v, v, c) + _abs_inner(u, v, c) ** 2
     if _within(det, scale, tol):
-        return CausalClass.LIGHTLIKE
-    return CausalClass.TIMELIKE if det < 0 else CausalClass.SPACELIKE
+        return _LIGHTLIKE
+    return _TIMELIKE if det < 0 else _SPACELIKE
 
 
 def plane_through(point, u, v, m: Metric, tol: float = DEFAULT_TOL) -> Plane:
-    point, u, v = as_event(point, m), as_event(u, m), as_event(v, m)
-    return Plane(point, (u, v), _classify_span(u.tolist(), v.tolist(), m.c, tol))
+    point, (u, ul), (v, vl) = as_event(point, m), _event(u, m), _event(v, m)
+    return Plane(point, (u, v), _span_class(*_span(ul, vl, m.c)[:3], tol))
 
 
 def classify_plane(p: Plane, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
@@ -107,7 +130,7 @@ def _line_parts(l: Line) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"line has point shape {point.shape} and direction shape {d.shape}, "
                          "expected one shape (n,)")
     m = Metric(point.size)  # only its n is read
-    return as_event(point, m), _direction(d, m)
+    return as_event(point, m), _direction(d, m)[0]
 
 
 def _on_line(p, point, d, tol: float) -> bool:
@@ -143,16 +166,15 @@ def tangent_cone_intersection(a, b, m: Metric, tol: float = DEFAULT_TOL) -> Line
     and then they intersect in the single line through a with direction
     b - a.
     """
-    a = as_event(a, m)
-    al, bl = a.tolist(), as_event(b, m).tolist()
+    (a, al), bl = _event(a, m), _event(b, m)[1]
     if al == bl:
         raise ValueError("degenerate: the two vertices coincide")
     d = list(map(sub, bl, al))  # exactly -(a - b), so its class and interval are those of (a, b)
-    if _classify(d, m.c, tol) is not CausalClass.LIGHTLIKE:
+    if _classify(d, m.c, tol) is not _LIGHTLIKE:
         raise ValueError(
             f"cones are not tangent: interval(a, b) = {_inner(d, d, m.c):.6g} != 0"
         )
-    return Line(a, np.array(d), CausalClass.LIGHTLIKE)
+    return Line(a, np.array(d), _LIGHTLIKE)
 
 
 def null_plane_through(l: Line, m: Metric) -> Plane:
@@ -165,20 +187,22 @@ def null_plane_through(l: Line, m: Metric) -> Plane:
     """
     if m.n != 3:
         raise ValueError("null-plane construction is implemented for n = 3")
-    if l.causal_class is not CausalClass.LIGHTLIKE:
+    if l.causal_class is not _LIGHTLIKE:
         raise ValueError("line is not null")
-    point, d = as_event(l.point, m), _direction(l.direction, m)
-    u = np.array([-d[1], d[0], 0.0])
-    return Plane(point, (d.copy(), u), CausalClass.LIGHTLIKE)
+    point, (d, dl) = as_event(l.point, m), _direction(l.direction, m)
+    if _classify(dl, m.c, DEFAULT_TOL) is not _LIGHTLIKE:  # a label is not a check
+        raise ValueError("line is not null")
+    return Plane(point, (d.copy(), np.array([-dl[1], dl[0], 0.0])), _LIGHTLIKE)
 
 
 def on_null_plane_algebraic(p, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> bool:
     """Membership in the null plane of l by the linear equation
     inner(p - l.point, l.direction) = 0."""
-    if l.causal_class is not CausalClass.LIGHTLIKE:
+    if l.causal_class is not _LIGHTLIKE:
         raise ValueError("line is not null")
-    w = as_event(as_event(p, m) - l.point, m).tolist()
-    d = as_event(l.direction, m).tolist()
+    w, d = _event(_event(p, m)[0] - l.point, m)[1], _event(l.direction, m)[1]
+    if _classify(d, m.c, tol) is not _LIGHTLIKE:
+        raise ValueError("line is not null")
     return _within(_inner(w, d, m.c), _abs_inner(w, d, m.c), tol)
 
 
@@ -200,10 +224,10 @@ def on_null_plane_by_characterization(p, l: Line, m: Metric, tol: float = DEFAUL
 def _euclid_normal(p: Plane, m: Metric) -> list:
     if p.point.shape != (3,):
         raise ValueError("plane intersection is implemented for n = 3")
-    u, v = (np.asarray(s, dtype=float) for s in p.span)
+    u, v = np.asarray(p.span[0], dtype=float), np.asarray(p.span[1], dtype=float)
     if u.shape == v.shape == (3,):
-        return _cross(as_event(u, m).tolist(), as_event(v, m).tolist())
-    return as_event(np.cross(u, v), m).tolist()  # np.cross refuses what it cannot cross
+        return _cross(_event(u, m)[1], _event(v, m)[1])
+    return _event(np.cross(u, v), m)[1]  # np.cross refuses what it cannot cross
 
 
 def intersect_planes(p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL) -> Line:
@@ -211,23 +235,23 @@ def intersect_planes(p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL) 
     parallel test and the point are taken in the balanced frame, where the
     plane n . x = h has the normal a = n D^-1: the point is the least-squares
     one of minimum norm, ((h1 a2 - h2 a1) x (a1 x a2)) / |a1 x a2|^2."""
-    n1, n2 = _euclid_normal(p1, m), _euclid_normal(p2, m)
-    a1, a2 = _frame(n1, 1 / m.c), _frame(n2, 1 / m.c)
-    if _within(_sine(a1, a2), 1.0, tol):
+    n1, n2, ic = _euclid_normal(p1, m), _euclid_normal(p2, m), 1 / m.c
+    sine, _, _, a1, a2, _, _ = _span(n1, n2, ic)  # a = n D^-1 is the frame of 1 / c
+    if _within(sine, 1.0, tol):
         raise ValueError("planes are parallel or identical: no unique line")
     h1, h2 = _dot(n1, p1.point.tolist()), _dot(n2, p2.point.tolist())
-    n = _cross(a1, a2)
-    k = math.hypot(*n)  # |n|, divided by twice: |n|^2 underflows for spans below ~1e-37
-    point = _cross([h1 * b - h2 * a for a, b in zip(a1, a2)], [x / k for x in n])
-    return line_through(_frame([x / k for x in point], 1 / m.c), _cross(n1, n2), m, tol)
+    x, y, z = _cross(a1, a2)  # n, by components
+    k = math.hypot(x, y, z)  # |n|, divided by twice: |n|^2 underflows for spans below ~1e-37
+    x, y, z = _cross([h1 * b - h2 * a for a, b in zip(a1, a2)], [x / k, y / k, z / k])
+    return line_through([x / k, y / k, z / k * ic], _cross(n1, n2), m, tol)
 
 
 def intersect_null_planes(p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL) -> Line:
     """Intersection of two null planes; for the two tangent planes touching
     opposite sheets of a cone this is a spacelike line."""
-    if p1.causal_class is not CausalClass.LIGHTLIKE:
+    if p1.causal_class is not _LIGHTLIKE:
         raise ValueError("first plane is not null")
-    if p2.causal_class is not CausalClass.LIGHTLIKE:
+    if p2.causal_class is not _LIGHTLIKE:
         raise ValueError("second plane is not null")
     return intersect_planes(p1, p2, m, tol)
 
@@ -242,20 +266,20 @@ def plane_through_lines(l1: Line, l2: Line, m: Metric, tol: float = DEFAULT_TOL)
     either direction nor where the origin lies changes the outcome, beyond
     an absolute allowance of 4 eps of the larger point for the rounding the
     given points were built with."""
-    u, v = as_event(l1.direction, m), as_event(l2.direction, m)
-    d1, d2 = _frame(u.tolist(), m.c), _frame(v.tolist(), m.c)
-    if _within(_sine(d1, d2), 1.0, tol):
+    (u, ul), (v, vl) = _event(l1.direction, m), _event(l2.direction, m)
+    sine, det, scale, d1, d2, dd, r1 = _span(ul, vl, m.c)
+    if _within(sine, 1.0, tol):
         raise ValueError("lines are parallel or collinear: no unique plane")
-    causal_class = _classify_span(u.tolist(), v.tolist(), m.c, tol)  # sine > 1e-6 from here on
-    p1, p2 = as_event(l1.point, m), as_event(l2.point, m)
-    w = _frame((p2 - p1).tolist(), m.c)
-    r1, rw = (_minus(x, d2, _dot(x, d2) / _dot(d2, d2)) for x in (d1, w))
+    causal_class = _span_class(sine, det, scale, tol)  # sine > 1e-6 from here on
+    (p1, q1), q2 = _event(l1.point, m), _event(l2.point, m)[1]
+    w = _frame(list(map(sub, q2, q1)), m.c)
+    rw = _minus(w, d2, _dot(w, d2) / dd)  # r1 is d1 less its part along d2, from _span
     t = _dot(r1, rw) / _dot(r1, r1)
     # the miss t d1 - w off the line along d2 is t r1 - rw.  It carries the rounding of
     # t d1 and of w, whatever the length of d2, and that of the points as they were
     # built, which is absolute: a floor that tol does not multiply
     miss = math.hypot(*_minus(rw, r1, t))
-    floor = 4 * _EPS * max(math.hypot(*_frame(p.tolist(), m.c)) for p in (p1, p2))
+    floor = 4 * _EPS * max(math.hypot(*_frame(q1, m.c)), math.hypot(*_frame(q2, m.c)))
     if not _within(max(miss - floor, 0.0), max(abs(t) * math.hypot(*d1), math.hypot(*w)), tol):
         raise ValueError("lines do not intersect (skew)")
     return Plane(p1 + t * u, (u, v), causal_class)

@@ -22,11 +22,14 @@ diag(1, ..., 1, -1) at every c, with no floor either: ``_sine``,
 ``_line_distance`` relative to the largest side, and lengths.
 
 Public names check, private kernels trust: each public function checks every
-argument once (events with :func:`as_event`) and converts it once, with
-``tolist()``, to Python floats, on which ``_inner``, ``_abs_inner``,
+argument once (events with ``_event``, the check of :func:`as_event`, which also
+returns the Python floats it checked), on which ``_inner``, ``_abs_inner``,
 ``_classify`` (the form, its scale, the null band) and ``_within`` (every test
 against a tolerance, the one refusal of tol < 0) do plain float arithmetic,
-several times cheaper than numpy's dispatch on 3- and 4-vectors.
+several times cheaper than numpy's dispatch on 3- and 4-vectors.  One pass, same
+summation order: a kernel needing several sums of the same vectors (``cones._span``)
+takes them in one walk, each added in these helpers' order (left to right, as
+``sum()`` adds before CPython 3.12), so no result changes by a bit.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from math import isfinite
 from operator import mul, sub
 
 import numpy as np
@@ -49,6 +53,10 @@ class CausalClass(enum.Enum):
     LIGHTLIKE = "lightlike"
     SPACELIKE = "spacelike"
     TIMELIKE = "timelike"
+
+
+# the members as module names: on CPython 3.11 an Enum member lookup costs five global ones
+_LIGHTLIKE, _SPACELIKE, _TIMELIKE = CausalClass
 
 
 @dataclass(frozen=True)
@@ -78,12 +86,18 @@ class Metric:
 def as_event(e, m: Metric) -> np.ndarray:
     """Coerce ``e`` to a finite float vector of length ``m.n``: the one event
     check, made by public names; the private kernels trust its result."""
-    arr = np.asarray(e, dtype=float)
+    return _event(e, m)[0]
+
+
+def _event(e, m: Metric) -> tuple[np.ndarray, list]:
+    # as_event's check, returning the array and the float list it checked
+    arr = np.asarray(e, float)
     if arr.shape != (m.n,):
         raise ValueError(f"event has shape {arr.shape}, expected ({m.n},)")
-    if not all(map(math.isfinite, arr.tolist())):
+    xs = arr.tolist()
+    if not isfinite(sum(xs)) and not all(map(isfinite, xs)):  # a finite sum has finite terms
         raise ValueError("event has non-finite components")
-    return arr
+    return arr, xs
 
 
 def _inner(r, s, c: float) -> float:
@@ -151,8 +165,8 @@ def _classify(d, c: float, tol: float) -> CausalClass:
     space, time = sum(map(mul, d[:-1], d[:-1])), c ** 2 * (d[-1] * d[-1])
     iv = space - time
     if _within(iv, space + time, tol):
-        return CausalClass.LIGHTLIKE
-    return CausalClass.SPACELIKE if iv > 0 else CausalClass.TIMELIKE
+        return _LIGHTLIKE
+    return _SPACELIKE if iv > 0 else _TIMELIKE
 
 
 def inner(r, s, m: Metric) -> float:
@@ -161,7 +175,7 @@ def inner(r, s, m: Metric) -> float:
     Bilinear and symmetric; the time product is formed before scaling by
     c^2 so that the result is bitwise symmetric in (r, s).
     """
-    return _inner(as_event(r, m).tolist(), as_event(s, m).tolist(), m.c)
+    return _inner(_event(r, m)[1], _event(s, m)[1], m.c)
 
 
 def abs_inner(r, s, m: Metric) -> float:
@@ -171,12 +185,12 @@ def abs_inner(r, s, m: Metric) -> float:
     the inner product can only be trusted down to roughly
     ``eps * abs_inner``.
     """
-    return _abs_inner(as_event(r, m).tolist(), as_event(s, m).tolist(), m.c)
+    return _abs_inner(_event(r, m)[1], _event(s, m)[1], m.c)
 
 
 def interval(r, s, m: Metric) -> float:
     """Squared interval inner(r - s, r - s) of the separation."""
-    d = list(map(sub, as_event(r, m).tolist(), as_event(s, m).tolist()))
+    d = list(map(sub, _event(r, m)[1], _event(s, m)[1]))
     return _inner(d, d, m.c)
 
 
@@ -184,9 +198,9 @@ def classify(r, s, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
     """Causal class of the pair (r, s): the sign of ``interval(r, s)``,
     with the null band of the module docstring."""
     _within(0.0, 0.0, tol)  # refuses tol < 0 before the events are checked
-    return _classify(list(map(sub, as_event(r, m).tolist(), as_event(s, m).tolist())), m.c, tol)
+    return _classify(list(map(sub, _event(r, m)[1], _event(s, m)[1])), m.c, tol)
 
 
 def on_null_cone(p, vertex, m: Metric, tol: float = DEFAULT_TOL) -> bool:
     """True iff p lies on the null cone with the given vertex."""
-    return classify(p, vertex, m, tol) is CausalClass.LIGHTLIKE
+    return classify(p, vertex, m, tol) is _LIGHTLIKE

@@ -118,7 +118,7 @@ def load_samples(path: str) -> tuple[SampleSet, dict]:
         # JSON numbers only: np.array alone would read "1" and true as 1.0
         if not set(map(type, chain.from_iterable(chain(*rows)))) <= {int, float}:
             raise SampleFormatError("coordinates must be JSON numbers")
-        x, y = (np.array(r, dtype=float) for r in rows)
+        x, y = (np.array(r, dtype=float) if r else np.empty((0, n)) for r in rows)
         markers = payload.get("markers", {})
         if not isinstance(markers, dict):
             raise SampleFormatError("markers must be a JSON object")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lightcone import (
@@ -182,6 +182,40 @@ def test_decompose_rejects_flipped_signature():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SignatureError):
         decompose_conformal(M, Metric(2, 1.0))
+
+
+def _decomposed(M, m):
+    # ("accepted", alpha, L in the balanced frame), or the refusal's type
+    try:
+        alpha, L = decompose_conformal(M, m)
+    except NotConformalError as exc:
+        return (type(exc).__name__,)
+    return "accepted", alpha, _balanced(L, m.c)
+
+
+@given(c=st.sampled_from(SPEEDS), beta=st.floats(min_value=-0.9, max_value=0.9),
+       shear=st.one_of(st.none(), st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                            st.floats(min_value=0.1, max_value=1.0))),
+       e=st.floats(min_value=-6.0, max_value=6.0))
+@settings(max_examples=500, deadline=None)
+@example(c=1.0, beta=0.0, shear=(0, 1, 0.5), e=-5.0)  # accepted under an absolute floor of 1
+def test_decompose_outcome_ignores_the_scale(c, beta, shear, e):
+    # a boost, or a shear of the balanced frame, scaled by k = 10^e: the outcome at
+    # k = 1, with alpha times k and the same L
+    m = Metric(4, c)
+    M = boost_x(BoostParams(beta * c, c)).L
+    if shear is not None:
+        i, j, s = shear
+        assume(i != j)
+        Sb = np.eye(4)
+        Sb[i, j] = s
+        M = _balanced(Sb, 1 / c)  # D^-1 Sb D, the shear in raw coordinates
+    k = 10.0 ** e
+    want, got = _decomposed(M, m), _decomposed(k * M, m)
+    assert got[0] == want[0] == ("accepted" if shear is None else "NotConformalError")
+    if shear is None:
+        assert got[1] == pytest.approx(k * want[1], rel=1e-12)
+        assert rel_close(got[2], want[2], 1e-12)
 
 
 def test_negative_alpha_folds_into_linear_part():

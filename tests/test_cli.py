@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from lightcone import Metric, is_isometry
-from lightcone.sampleio import load_samples, load_truth, map_from_dict
+from lightcone.recover import SampleSet
+from lightcone.sampleio import load_samples, load_truth, map_from_dict, save_samples
 
 
 def run_cli(*args, **kwargs):
@@ -125,6 +126,15 @@ def test_verify_wrong_schema_exit_one(tmp_path):
     bad = tmp_path / "schema.json"
     bad.write_text(json.dumps({"format": "something-else", "pairs": []}))
     assert run_cli("verify", bad).returncode == 1
+
+
+def test_verify_empty_sample_file_exit_two(tmp_path):
+    # a file with no pairs loads as (0, n) samples, and verify refuses them as a domain error
+    f = tmp_path / "empty.json"
+    save_samples(str(f), SampleSet(Metric(4, 2.0), np.empty((0, 4)), np.empty((0, 4))))
+    r = run_cli("verify", f)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
 
 def test_boost_prints_matrix():

@@ -20,7 +20,13 @@ metric (to ``point_on_line`` and ``same_line``) whose point and direction
 differ in shape is refused with both shapes named, since neither fixes the
 dimension.  ``plane_through_lines[line{0,1}-point-shape]`` read numpy's
 broadcast error until the offset of the two points was taken from the
-checked points; they now read the event check's message.
+checked points; they now read the event check's message.  The
+``not-null-direction`` rows came with the check of a line's direction by
+``null_plane_through`` and the null-plane membership tests, which trusted a
+LIGHTLIKE label before.  ``decompose_conformal[shear-1e-5]`` and ``[rank-1]``
+came with its entry scale max(S, |lam|): under the old floor of 1 the small
+shear was accepted, and without the floor a zero column must not divide
+0 by 0 in the message.
 
 The Python float forms that replaced numpy calls on 3-vectors and a few
 ratios (``cones._cross``, ``boost._median``) must equal those calls bit
@@ -52,6 +58,7 @@ DN = np.array([2.0, 0.0, 1.0])  # null at c = 2: 2^2 = c^2 * 1^2
 UX, UY, UT = np.eye(3)
 NULL_LINE = Line(O3, DN, CC.LIGHTLIKE)
 SPACE_LINE = Line(O3 + np.array([0.0, 2.5, 0.0]), UY, CC.SPACELIKE)
+MISLABELLED = Line(np.zeros(3), UX, CC.LIGHTLIKE)  # labelled null, spacelike by its direction
 D1, D2 = np.array([0.0, 2.0, 1.0]), np.array([0.0, -2.0, 1.0])
 P1 = Plane(O3, (D1, np.array([-2.0, 0.0, 0.0])), CC.LIGHTLIKE)
 P2 = Plane(O3, (D2, np.array([2.0, 0.0, 0.0])), CC.LIGHTLIKE)
@@ -138,6 +145,8 @@ def _rows():
                 rows[f"cones.same_line[line{which}-{field}-{fault}]"] = (cones.same_line, lines)
     zero = Line(O3, np.zeros(3), CC.LIGHTLIKE)
     rows["cones.null_plane_through[zero]"] = (cones.null_plane_through, (zero, M3))
+    rows["cones.null_plane_through[not-null-direction]"] = (
+        cones.null_plane_through, (MISLABELLED, M3))
     rows["cones.point_on_line[zero]"] = (cones.point_on_line, (O3 + DN, zero))
     rows["cones.same_line[zero]"] = (cones.same_line, (NULL_LINE, zero))
     for fault in FAULTS:
@@ -159,6 +168,7 @@ def _rows():
                 rows[f"cones.{name}[line-{field}-{fault}]"] = (
                     fn, (on_plane, _line(NULL_LINE, field, fault), M3))
         rows[f"cones.{name}[not-null]"] = (fn, (on_plane, SPACE_LINE, M3))
+        rows[f"cones.{name}[not-null-direction]"] = (fn, (UY, MISLABELLED, M3))
         rows[f"cones.{name}[tol]"] = (fn, (on_plane, NULL_LINE, M3, -1e-9))
 
     for name in ("intersect_planes", "intersect_null_planes"):
@@ -201,6 +211,9 @@ def _rows():
     shear = np.eye(4)
     shear[0, 1] = 0.5
     rows["boost.decompose_conformal[shear]"] = (boost.decompose_conformal, (shear, M4))
+    rows["boost.decompose_conformal[shear-1e-5]"] = (boost.decompose_conformal, (1e-5 * shear, M4))
+    rows["boost.decompose_conformal[rank-1]"] = (
+        boost.decompose_conformal, (np.diag([1.0, 0.0, 0.0, 0.0]), M4))
     for alpha in (0.0, math.nan, math.inf, -math.inf):
         rows[f"boost.AffineLorentzMap[alpha={alpha}]"] = (AffineLorentzMap, (alpha, B, R4))
         rows[f"boost.general_boost[alpha={alpha}]"] = (
@@ -258,6 +271,7 @@ NOT_CROSSABLE = (
 V_IS_C = ('raises', 'ValueError', 'degenerate velocity: |v|=2.0 must be < c=2.0')
 FALSE = ('returns', 'False')
 ZERO_DIRECTION = ('raises', 'ValueError', 'line direction must be nonzero')
+NOT_NULL = ('raises', 'ValueError', 'line is not null')
 LONG_POINT = ('raises', 'ValueError',
               'line has point shape (4,) and direction shape (3,), expected one shape (n,)')
 LONG_DIRECTION = ('raises', 'ValueError',
@@ -305,6 +319,8 @@ EXPECTED = {
     'boost.decompose_conformal[nan@0,3]': NOT_CONFORMAL_NAN,
     'boost.decompose_conformal[nan@3,0]': NOT_CONFORMAL_NAN,
     'boost.decompose_conformal[nan@3,3]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[rank-1]':
+        ('raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation 1.000e+00)'),
     'boost.decompose_conformal[shape-3x3]':
         ('raises', 'ValueError', 'matrix has shape (3, 3), expected (4, 4)'),
     'boost.decompose_conformal[shape-4]':
@@ -312,6 +328,8 @@ EXPECTED = {
     'boost.decompose_conformal[shape-4x5]':
         ('raises', 'ValueError', 'matrix has shape (4, 5), expected (4, 4)'),
     'boost.decompose_conformal[shear]':
+        ('raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation 5.000e-01)'),
+    'boost.decompose_conformal[shear-1e-5]':
         ('raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation 5.000e-01)'),
     'boost.general_boost[alpha=-inf]':
         ('raises', 'ValueError', 'alpha must be nonzero and finite, got -inf'),
@@ -440,6 +458,7 @@ EXPECTED = {
     'cones.null_plane_through[line-point--inf]': NON_FINITE,
     'cones.null_plane_through[line-point-nan]': NON_FINITE,
     'cones.null_plane_through[line-point-shape]': SHAPE_4_NOT_3,
+    'cones.null_plane_through[not-null-direction]': NOT_NULL,
     'cones.null_plane_through[zero]': ZERO_DIRECTION,
     'cones.on_null_plane_algebraic[line-direction-+inf]': NON_FINITE,
     'cones.on_null_plane_algebraic[line-direction--inf]': NON_FINITE,
@@ -450,7 +469,8 @@ EXPECTED = {
     'cones.on_null_plane_algebraic[line-point-nan]': NON_FINITE,
     'cones.on_null_plane_algebraic[line-point-shape]':
         ('raises', 'ValueError', 'operands could not be broadcast together with shapes (3,) (4,) '),
-    'cones.on_null_plane_algebraic[not-null]': ('raises', 'ValueError', 'line is not null'),
+    'cones.on_null_plane_algebraic[not-null]': NOT_NULL,
+    'cones.on_null_plane_algebraic[not-null-direction]': NOT_NULL,
     'cones.on_null_plane_algebraic[p-+inf]': NON_FINITE,
     'cones.on_null_plane_algebraic[p--inf]': NON_FINITE,
     'cones.on_null_plane_algebraic[p-nan]': NON_FINITE,
@@ -465,8 +485,8 @@ EXPECTED = {
     'cones.on_null_plane_by_characterization[line-point-nan]': NON_FINITE,
     'cones.on_null_plane_by_characterization[line-point-shape]':
         ('raises', 'ValueError', 'operands could not be broadcast together with shapes (3,) (4,) '),
-    'cones.on_null_plane_by_characterization[not-null]':
-        ('raises', 'ValueError', 'line is not null'),
+    'cones.on_null_plane_by_characterization[not-null]': NOT_NULL,
+    'cones.on_null_plane_by_characterization[not-null-direction]': NOT_NULL,
     'cones.on_null_plane_by_characterization[p-+inf]': NON_FINITE,
     'cones.on_null_plane_by_characterization[p--inf]': NON_FINITE,
     'cones.on_null_plane_by_characterization[p-nan]': NON_FINITE,

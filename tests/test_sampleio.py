@@ -68,10 +68,10 @@ def test_blockwise_samples_are_the_one_shot_encoding(tmp_path, N):
     save_samples(str(path), s, seed=N, kind="lorentz")
     want = json.dumps(_payload(s, N, "lorentz"), sort_keys=True) + "\n"
     _equal_text(path.read_text(), want)
-    if N:  # the loader reads an empty "pairs" as a (0,)-shaped x and refuses it
-        loaded, meta = load_samples(str(path))
-        _same(loaded, s)
-        assert meta == {"seed": N, "kind": "lorentz"}
+    loaded, meta = load_samples(str(path))
+    _same(loaded, s)
+    assert loaded.x.shape == loaded.y.shape == s.x.shape
+    assert meta == {"seed": N, "kind": "lorentz"}
 
 
 @pytest.mark.parametrize("kind", KINDS)
