@@ -14,16 +14,22 @@ isometry of diag(1, 1, 1, -c^2) for every invariant speed c.
 ``decompose_conformal`` undoes the scaling: a matrix M with
 M^T eta M = lam * eta (lam > 0) splits uniquely into alpha = sqrt(lam) > 0
 and the isometry L = M / alpha, any sign being folded into L.
+
+Maps follow the validate-once rule of :mod:`lightcone.minkowski`: public names
+check (``check_velocity``, the map constructor, tol >= 0), private kernels trust.
+``boost_x``, ``compose``, ``inverse`` and ``radar.derive_map`` return maps through
+the trusted ``_map``; compose and inverse first refuse an overflowed product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from sys import float_info
 
 import numpy as np
 
-from .minkowski import Metric, _balanced
+from .minkowski import Metric, _balanced, _finite, _within
 
 #: Velocities with |v| >= c * (1 - VELOCITY_MARGIN) are rejected: gamma diverges.
 VELOCITY_MARGIN = 1e-12
@@ -38,10 +44,13 @@ class SignatureError(NotConformalError):
 
 
 def check_velocity(v: float, c: float) -> None:
-    """Raise ValueError unless c is positive and finite and
-    |v| < c * (1 - VELOCITY_MARGIN)."""
+    """Raise ValueError unless c is positive and finite, c^2 is a normal float
+    and |v| < c * (1 - VELOCITY_MARGIN)."""
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"invariant speed must be positive and finite, got {c}")
+    if not float_info.min <= c * c <= float_info.max:  # c^2 neither underflows nor overflows
+        raise ValueError(f"invariant speed must have c^2 in the normal float range "
+                         f"[{float_info.min}, {float_info.max}], got c = {c}")
     if not math.isfinite(v) or abs(v) >= c * (1.0 - VELOCITY_MARGIN):
         raise ValueError(f"degenerate velocity: |v|={abs(v)} must be < c={c}")
 
@@ -59,7 +68,7 @@ class BoostParams:
 
 @dataclass
 class AffineLorentzMap:
-    """The map x -> alpha * L x + a.
+    """The map x -> alpha * L x + a, with L square and alpha, L and a finite.
 
     alpha is canonicalized to be positive (a negative sign is folded into
     L), which makes the (alpha, L) pair unique and round-trippable through
@@ -79,8 +88,7 @@ class AffineLorentzMap:
             raise ValueError(
                 f"translation has shape {self.a.shape}, expected ({self.L.shape[0]},)"
             )
-        if not math.isfinite(self.alpha) or self.alpha == 0:
-            raise ValueError(f"alpha must be nonzero and finite, got {self.alpha}")
+        _check_map(self.alpha, self.L.ravel().tolist() + self.a.tolist())
         if self.alpha < 0:
             self.alpha = -self.alpha
             self.L = -self.L
@@ -90,13 +98,29 @@ class AffineLorentzMap:
         return self.L.shape[0]
 
 
+def _check_map(alpha, entries: list) -> None:
+    # the constructor's check of alpha and the entries of L and a, also run on the
+    # products of compose and inverse, which can overflow
+    if not math.isfinite(alpha) or alpha == 0:
+        raise ValueError(f"alpha must be nonzero and finite, got {alpha}")
+    if not _finite(entries):
+        raise ValueError("map has non-finite entries")
+
+
+def _map(alpha: float, L: np.ndarray, a: np.ndarray) -> AffineLorentzMap:
+    # the trusted constructor: alpha > 0, a square float L and its translation, all finite
+    m = object.__new__(AffineLorentzMap)
+    m.alpha, m.L, m.a = alpha, L, a
+    return m
+
+
 def identity_map(n: int = 4) -> AffineLorentzMap:
     return AffineLorentzMap(1.0, np.eye(n), np.zeros(n))
 
 
 def gamma(v: float, c: float = 1.0) -> float:
     """Lorentz factor 1/sqrt(1 - v^2/c^2)."""
-    return 1.0 / math.sqrt(1.0 - (v / c) ** 2)
+    return 1.0 / scale_factor(v, c)
 
 
 def scale_factor(v: float, c: float = 1.0) -> float:
@@ -105,19 +129,22 @@ def scale_factor(v: float, c: float = 1.0) -> float:
     This is the unique positive solution of
     alpha(v) * alpha(-v) = 1 - v^2/c^2 that depends on |v| only.
     """
+    check_velocity(v, c)
+    return _scale_factor(v, c)
+
+
+def _scale_factor(v: float, c: float) -> float:
+    # without the velocity check, for callers that ran it once; gamma is its reciprocal
     return math.sqrt(1.0 - (v / c) ** 2)
 
 
 def boost_x(p: BoostParams) -> AffineLorentzMap:
     """Normalized boost along the x-axis for n = 4, as an affine map with
     alpha = 1 and zero translation."""
-    g = gamma(p.v, p.c)
-    L = np.eye(4)
-    L[0, 0] = g
-    L[0, 3] = -p.v * g
-    L[3, 0] = -p.v * g / p.c ** 2
-    L[3, 3] = g
-    return AffineLorentzMap(1.0, L, np.zeros(4))
+    g = 1.0 / _scale_factor(p.v, p.c)
+    vg = -p.v * g
+    L = [g, 0.0, 0.0, vg, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, vg / p.c ** 2, 0.0, 0.0, g]
+    return _map(1.0, np.array(L).reshape(4, 4), np.zeros(4))
 
 
 def general_boost(p: BoostParams, alpha: float) -> np.ndarray:
@@ -126,7 +153,7 @@ def general_boost(p: BoostParams, alpha: float) -> np.ndarray:
     the normalized boost."""
     if alpha == 0 or not math.isfinite(alpha):
         raise ValueError(f"alpha must be nonzero and finite, got {alpha}")
-    return alpha * gamma(p.v, p.c) * boost_x(p).L
+    return alpha * (1.0 / _scale_factor(p.v, p.c)) * boost_x(p).L
 
 
 def scale_constraint_check(
@@ -137,7 +164,7 @@ def scale_constraint_check(
     The constraint is what forcing boost(v) followed by boost(-v) to be the
     identity imposes on the free scale factor.
     """
-    return abs(alpha_of_v * alpha_of_minus_v - (1.0 - (p.v / p.c) ** 2)) <= tol
+    return _within(alpha_of_v * alpha_of_minus_v - (1.0 - (p.v / p.c) ** 2), 1.0, tol)
 
 
 def apply(m: AffineLorentzMap, e) -> np.ndarray:
@@ -145,18 +172,16 @@ def apply(m: AffineLorentzMap, e) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     if e.shape != (m.n,):
         raise ValueError(f"event has shape {e.shape}, expected ({m.n},)")
-    return m.alpha * (m.L @ e) + m.a
+    return m.alpha * m.L.dot(e) + m.a
 
 
 def compose(m1: AffineLorentzMap, m2: AffineLorentzMap) -> AffineLorentzMap:
     """The map applying m2 first, then m1."""
     if m1.n != m2.n:
         raise ValueError(f"dimension mismatch: {m1.n} vs {m2.n}")
-    return AffineLorentzMap(
-        m1.alpha * m2.alpha,
-        m1.L @ m2.L,
-        m1.alpha * (m1.L @ m2.a) + m1.a,
-    )
+    alpha, L, a = m1.alpha * m2.alpha, m1.L.dot(m2.L), m1.alpha * m1.L.dot(m2.a) + m1.a
+    _check_map(alpha, L.ravel().tolist() + a.tolist())
+    return _map(alpha, L, a)
 
 
 def inverse(m: AffineLorentzMap) -> AffineLorentzMap:
@@ -166,7 +191,10 @@ def inverse(m: AffineLorentzMap) -> AffineLorentzMap:
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular linear part; map is not invertible") from exc
     alpha_inv = 1.0 / m.alpha
-    return AffineLorentzMap(alpha_inv, Linv, -alpha_inv * (Linv @ m.a))
+    _check_map(alpha_inv, Linv.ravel().tolist())  # before an inf can meet a 0 in the translation
+    a = -alpha_inv * Linv.dot(m.a)
+    _check_map(alpha_inv, a.tolist())
+    return _map(alpha_inv, Linv, a)
 
 
 def _balanced_gram(M: np.ndarray, m: Metric):
@@ -176,7 +204,7 @@ def _balanced_gram(M: np.ndarray, m: Metric):
     if M.shape != (m.n, m.n):
         raise ValueError(f"matrix has shape {M.shape}, expected ({m.n}, {m.n})")
     Mb = _balanced(M, m.c)
-    if not all(map(math.isfinite, Mb.ravel().tolist())):  # NaN is refused quietly, inf * 0 warns
+    if not _finite(Mb.ravel().tolist()):  # NaN is refused quietly, inf * 0 warns
         Mb[:] = math.nan
     H = Mb.copy()
     time_row = H[-1]
@@ -191,14 +219,18 @@ def _median(xs: list) -> float:
     # mean of the middle one or two, which numpy sums from 0.0 (-0.0 becomes 0.0)
     xs, k = sorted(xs), len(xs) // 2
     mid = 0.0 + xs[k] if len(xs) % 2 else (0.0 + xs[k - 1] + xs[k]) / 2
-    return math.nan if any(x != x for x in xs) else mid
+    return math.nan if any(map(math.isnan, xs)) else mid
 
 
 def is_isometry(L, m: Metric, tol: float = 1e-9) -> bool:
     """True iff L^T eta L = eta entrywise, relative to the magnitude of the
     products forming each entry (evaluated in the metric-balanced frame)."""
+    _within(0.0, 0.0, tol)  # refuses tol < 0 before the matrix is checked
     _, G, S, eta1 = _balanced_gram(L, m)
-    return all(abs(g - e) <= tol * (s if s > 1.0 else 1.0) for g, e, s in zip(G, eta1, S))
+    for g, e, s in zip(G, eta1, S):
+        if not abs(g - e) <= tol * (s if s > 1.0 else 1.0):
+            return False
+    return True
 
 
 def decompose_conformal(M, m: Metric, tol: float = 1e-9) -> tuple[float, np.ndarray]:
@@ -209,15 +241,17 @@ def decompose_conformal(M, m: Metric, tol: float = 1e-9) -> tuple[float, np.ndar
     noise.  Raises NotConformalError when the Gram matrix is not
     proportional to eta, SignatureError when the factor is non-positive.
     """
+    _within(0.0, 0.0, tol)  # refuses tol < 0 before the matrix is checked
     M, G, S, eta1 = _balanced_gram(M, m)
-    lam = _median([g / e for g, e in zip(G[::m.n + 1], eta1[::m.n + 1])])
-    floor = abs(lam)  # the scale of each entry is max(S, |lam|): both scale as M^2
-    if not all(abs(g - lam * e) <= tol * (s if s > floor else floor)
-               for g, e, s in zip(G, eta1, S)):
-        scaled = ((abs(g - lam * e), s if s > floor else floor) for g, e, s in zip(G, eta1, S))
-        worst = [d / s for d, s in scaled if not d <= tol * s]  # out of the band, so s > 0
+    lam = _median([*G[:-1:m.n + 1], -G[-1]])  # the diagonal of G over that of eta1
+    floor, worst = abs(lam), []  # the scale of each entry is max(S, |lam|): both scale as M^2
+    for g, e, s in zip(G, eta1, S):
+        d, s = abs(g - lam * e), (s if s > floor else floor)
+        if not d <= tol * s:
+            worst.append(d / s)  # out of the band, so s > 0
+    if worst:
         raise NotConformalError("M^T eta M is not proportional to eta (worst relative deviation "
-                                f"{math.nan if any(w != w for w in worst) else max(worst):.3e})")
+                                f"{math.nan if any(map(math.isnan, worst)) else max(worst):.3e})")
     if lam <= 0:
         raise SignatureError(f"conformal factor is non-positive ({lam:.6g})")
     alpha = math.sqrt(lam)

@@ -200,9 +200,10 @@ def on_null_plane_algebraic(p, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> 
     inner(p - l.point, l.direction) = 0."""
     if l.causal_class is not _LIGHTLIKE:
         raise ValueError("line is not null")
-    w, d = _event(_event(p, m)[0] - l.point, m)[1], _event(l.direction, m)[1]
+    p, point, d = _event(p, m)[1], _event(l.point, m)[1], _direction(l.direction, m)[1]
     if _classify(d, m.c, tol) is not _LIGHTLIKE:
         raise ValueError("line is not null")
+    w = list(map(sub, p, point))
     return _within(_inner(w, d, m.c), _abs_inner(w, d, m.c), tol)
 
 

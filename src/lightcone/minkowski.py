@@ -95,9 +95,13 @@ def _event(e, m: Metric) -> tuple[np.ndarray, list]:
     if arr.shape != (m.n,):
         raise ValueError(f"event has shape {arr.shape}, expected ({m.n},)")
     xs = arr.tolist()
-    if not isfinite(sum(xs)) and not all(map(isfinite, xs)):  # a finite sum has finite terms
+    if not _finite(xs):
         raise ValueError("event has non-finite components")
     return arr, xs
+
+
+def _finite(xs: list) -> bool:
+    return isfinite(sum(xs)) or all(map(isfinite, xs))  # a finite sum has finite terms
 
 
 def _inner(r, s, c: float) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boost import AffineLorentzMap, check_velocity, scale_factor
+from .boost import AffineLorentzMap, _map, _scale_factor, check_velocity
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,7 @@ def light_clock(sc: RadarScenario) -> RadarTimeline:
     """
     t1 = sc.t0 + sc.delta_xbar / (sc.c - sc.v)
     t2 = t1 + sc.delta_xbar / (sc.c + sc.v)
-    alpha = scale_factor(sc.v, sc.c)
+    alpha = _scale_factor(sc.v, sc.c)
     return RadarTimeline(
         t0=sc.t0,
         t1=t1,
@@ -140,13 +140,14 @@ def derive_map(v: float, c: float = 1.0) -> AffineLorentzMap:
     forms on basis events, with the normalized scale factor.
 
     This shares no matrix-entry formulas with :func:`lightcone.boost.boost_x`
-    yet agrees with it entrywise.  The velocity is validated once, here.
+    yet agrees with it entrywise.  The velocity is validated once, here.  Only
+    the six entries that can be nonzero are evaluated; the rest are +0.0.
     """
     check_velocity(v, c)
-    alpha = scale_factor(v, c)
-    columns = []
-    for x, y, z, t in np.eye(4).tolist():
-        xbar = comoving(x, t, v)
-        columns.append((_xprime(xbar, v, c, alpha), _yzprime(y, v, c, alpha),
-                        _yzprime(z, v, c, alpha), _tprime(xbar, t, v, c, alpha)))
-    return AffineLorentzMap(1.0, np.array(list(zip(*columns))), np.zeros(4))
+    alpha = _scale_factor(v, c)
+    x0, xt = comoving(1.0, 0.0, v), comoving(0.0, 1.0, v)  # xbar of e_x and of e_t
+    yz = _yzprime(1.0, v, c, alpha)
+    L = np.array([_xprime(x0, v, c, alpha), 0.0, 0.0, _xprime(xt, v, c, alpha),
+                  0.0, yz, 0.0, 0.0, 0.0, 0.0, yz, 0.0,
+                  _tprime(x0, 0.0, v, c, alpha), 0.0, 0.0, _tprime(xt, 1.0, v, c, alpha)])
+    return _map(1.0, L.reshape(4, 4), np.zeros(4))

@@ -26,7 +26,15 @@ checked points; they now read the event check's message.  The
 LIGHTLIKE label before.  ``decompose_conformal[shear-1e-5]`` and ``[rank-1]``
 came with its entry scale max(S, |lam|): under the old floor of 1 the small
 shear was accepted, and without the floor a zero column must not divide
-0 by 0 in the message.
+0 by 0 in the message.  The null-plane membership tests give the line's point
+the event check of their metric, as ``null_plane_through`` does, and refuse a
+zero direction: ``[line-point-shape]`` read numpy's broadcast error, and a
+(1,) or 0-d point was broadcast (``[line-point-len1]``, ``[line-point-0d]``).
+``boost`` came under the same rule later: every tolerance refuses tol < 0,
+``gamma`` and ``scale_factor`` check the velocity, every velocity check refuses
+a c whose square is not a normal float (it raised ZeroDivisionError or
+OverflowError further in), and a map refuses non-finite entries, also where
+``compose`` or ``inverse`` overflows.
 
 The Python float forms that replaced numpy calls on 3-vectors and a few
 ratios (``cones._cross``, ``boost._median``) must equal those calls bit
@@ -169,6 +177,12 @@ def _rows():
                     fn, (on_plane, _line(NULL_LINE, field, fault), M3))
         rows[f"cones.{name}[not-null]"] = (fn, (on_plane, SPACE_LINE, M3))
         rows[f"cones.{name}[not-null-direction]"] = (fn, (UY, MISLABELLED, M3))
+        # a point numpy would broadcast: at c = 2 the (1,) point put p on the plane
+        for shape, point in (("len1", np.array([0.5])), ("0d", np.float64(0.5))):
+            rows[f"cones.{name}[line-point-{shape}]"] = (
+                fn, (np.array([0.5, 3.0, 0.5]), dataclasses.replace(NULL_LINE, point=point), M3))
+        rows[f"cones.{name}[zero]"] = (
+            fn, (on_plane, dataclasses.replace(NULL_LINE, direction=np.zeros(3)), M3))
         rows[f"cones.{name}[tol]"] = (fn, (on_plane, NULL_LINE, M3, -1e-9))
 
     for name in ("intersect_planes", "intersect_null_planes"):
@@ -214,20 +228,35 @@ def _rows():
     rows["boost.decompose_conformal[shear-1e-5]"] = (boost.decompose_conformal, (1e-5 * shear, M4))
     rows["boost.decompose_conformal[rank-1]"] = (
         boost.decompose_conformal, (np.diag([1.0, 0.0, 0.0, 0.0]), M4))
+    rows["boost.is_isometry[tol]"] = (boost.is_isometry, (B, M4, -1.0))
+    rows["boost.decompose_conformal[tol]"] = (boost.decompose_conformal, (B, M4, -1.0))
+    rows["boost.scale_constraint_check[tol]"] = (
+        boost.scale_constraint_check, (0.8, 0.8, BoostParams(0.6, 1.0), -1.0))
     for alpha in (0.0, math.nan, math.inf, -math.inf):
         rows[f"boost.AffineLorentzMap[alpha={alpha}]"] = (AffineLorentzMap, (alpha, B, R4))
         rows[f"boost.general_boost[alpha={alpha}]"] = (
             boost.general_boost, (BoostParams(0.6 * C, C), alpha))
     rows["boost.AffineLorentzMap[L-shape]"] = (AffineLorentzMap, (1.0, np.ones((4, 3)), R4))
     rows["boost.AffineLorentzMap[a-shape]"] = (AffineLorentzMap, (1.0, B, np.ones(3)))
+    for fault in FAULTS[1:]:
+        rows[f"boost.AffineLorentzMap[L-{fault}]"] = (AffineLorentzMap, (1.0, _bad(B, fault), R4))
+        rows[f"boost.AffineLorentzMap[a-{fault}]"] = (AffineLorentzMap, (1.0, B, _bad(R4, fault)))
+    huge, big = (AffineLorentzMap(alpha, 1e200 * np.eye(4), R4) for alpha in (1e200, 1.0))
+    rows["boost.compose[alpha-overflow]"] = (boost.compose, (huge, huge))
+    rows["boost.compose[overflow]"] = (boost.compose, (big, big))
+    rows["boost.inverse[overflow]"] = (
+        boost.inverse, (AffineLorentzMap(1.0, np.diag([1.0, 1.0, 1.0, 1e-320]), R4),))
+    rows["boost.inverse[alpha-overflow]"] = (boost.inverse, (AffineLorentzMap(1e-320, B, R4),))
     rows["boost.apply[shape]"] = (boost.apply, (MAP, np.ones(3)))
     rows["boost.compose[dims]"] = (boost.compose, (MAP, boost.identity_map(3)))
     singular = AffineLorentzMap(1.0, np.zeros((4, 4)), R4)
     rows["boost.inverse[singular]"] = (boost.inverse, (singular,))
 
     for v, c in ((C, C), (-C, C), (math.nan, C), (math.inf, C), (0.5, 0.0), (0.5, math.nan),
-                 (0.5, math.inf), (0.5, -1.0)):
+                 (0.5, math.inf), (0.5, -1.0), (0.5e-300, 1e-300), (0.5, 1e200)):
         rows[f"boost.BoostParams[v={v},c={c}]"] = (BoostParams, (v, c))
+        rows[f"boost.gamma[v={v},c={c}]"] = (boost.gamma, (v, c))
+        rows[f"boost.scale_factor[v={v},c={c}]"] = (boost.scale_factor, (v, c))
         rows[f"radar.derive_map[v={v},c={c}]"] = (radar.derive_map, (v, c))
         rows[f"radar.RadarScenario[v={v},c={c}]"] = (radar.RadarScenario, (v, c))
         rows[f"radar.tprime[v={v},c={c}]"] = (radar.tprime, (1.0, 2.0, v, c))
@@ -266,6 +295,10 @@ SHAPE_5_NOT_4 = ('raises', 'ValueError', 'event has shape (5,), expected (4,)')
 NOT_CONFORMAL_NAN = (
     'raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation nan)')
 NEGATIVE_TOL = ('raises', 'ValueError', 'tolerance must be >= 0')
+NON_FINITE_MAP = ('raises', 'ValueError', 'map has non-finite entries')
+ALPHA_INF = ('raises', 'ValueError', 'alpha must be nonzero and finite, got inf')
+C2_RANGE = ("raises", "ValueError", "invariant speed must have c^2 in the normal float range "
+            "[2.2250738585072014e-308, 1.7976931348623157e+308], got c = {}")
 NOT_CROSSABLE = (
     'raises', 'ValueError', 'incompatible dimensions for cross product\n(dimension must be 2 or 3)')
 V_IS_C = ('raises', 'ValueError', 'degenerate velocity: |v|=2.0 must be < c=2.0')
@@ -279,8 +312,14 @@ LONG_DIRECTION = ('raises', 'ValueError',
 
 #: Each row's outcome, taken by _outcome (see the module docstring).
 EXPECTED = {
+    'boost.AffineLorentzMap[L-+inf]': NON_FINITE_MAP,
+    'boost.AffineLorentzMap[L--inf]': NON_FINITE_MAP,
+    'boost.AffineLorentzMap[L-nan]': NON_FINITE_MAP,
     'boost.AffineLorentzMap[L-shape]':
         ('raises', 'ValueError', 'L must be square, got shape (4, 3)'),
+    'boost.AffineLorentzMap[a-+inf]': NON_FINITE_MAP,
+    'boost.AffineLorentzMap[a--inf]': NON_FINITE_MAP,
+    'boost.AffineLorentzMap[a-nan]': NON_FINITE_MAP,
     'boost.AffineLorentzMap[a-shape]':
         ('raises', 'ValueError', 'translation has shape (3,), expected (4,)'),
     'boost.AffineLorentzMap[alpha=-inf]':
@@ -296,17 +335,21 @@ EXPECTED = {
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
     'boost.BoostParams[v=0.5,c=0.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'boost.BoostParams[v=0.5,c=1e+200]': (*C2_RANGE[:2], C2_RANGE[2].format('1e+200')),
     'boost.BoostParams[v=0.5,c=inf]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
     'boost.BoostParams[v=0.5,c=nan]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
     'boost.BoostParams[v=2.0,c=2.0]': V_IS_C,
+    'boost.BoostParams[v=5e-301,c=1e-300]': (*C2_RANGE[:2], C2_RANGE[2].format('1e-300')),
     'boost.BoostParams[v=inf,c=2.0]':
         ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
     'boost.BoostParams[v=nan,c=2.0]':
         ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
     'boost.apply[shape]': ('raises', 'ValueError', 'event has shape (3,), expected (4,)'),
+    'boost.compose[alpha-overflow]': ALPHA_INF,
     'boost.compose[dims]': ('raises', 'ValueError', 'dimension mismatch: 4 vs 3'),
+    'boost.compose[overflow]': NON_FINITE_MAP,
     'boost.decompose_conformal[+inf@0,0]': NOT_CONFORMAL_NAN,
     'boost.decompose_conformal[+inf@0,3]': NOT_CONFORMAL_NAN,
     'boost.decompose_conformal[+inf@3,0]': NOT_CONFORMAL_NAN,
@@ -331,6 +374,23 @@ EXPECTED = {
         ('raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation 5.000e-01)'),
     'boost.decompose_conformal[shear-1e-5]':
         ('raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation 5.000e-01)'),
+    'boost.decompose_conformal[tol]': NEGATIVE_TOL,
+    'boost.gamma[v=-2.0,c=2.0]': V_IS_C,
+    'boost.gamma[v=0.5,c=-1.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
+    'boost.gamma[v=0.5,c=0.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'boost.gamma[v=0.5,c=1e+200]': (*C2_RANGE[:2], C2_RANGE[2].format('1e+200')),
+    'boost.gamma[v=0.5,c=inf]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
+    'boost.gamma[v=0.5,c=nan]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
+    'boost.gamma[v=2.0,c=2.0]': V_IS_C,
+    'boost.gamma[v=5e-301,c=1e-300]': (*C2_RANGE[:2], C2_RANGE[2].format('1e-300')),
+    'boost.gamma[v=inf,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
+    'boost.gamma[v=nan,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
     'boost.general_boost[alpha=-inf]':
         ('raises', 'ValueError', 'alpha must be nonzero and finite, got -inf'),
     'boost.general_boost[alpha=0.0]':
@@ -339,6 +399,8 @@ EXPECTED = {
         ('raises', 'ValueError', 'alpha must be nonzero and finite, got inf'),
     'boost.general_boost[alpha=nan]':
         ('raises', 'ValueError', 'alpha must be nonzero and finite, got nan'),
+    'boost.inverse[alpha-overflow]': ALPHA_INF,
+    'boost.inverse[overflow]': NON_FINITE_MAP,
     'boost.inverse[singular]':
         ('raises', 'ValueError', 'singular linear part; map is not invertible'),
     'boost.is_isometry[+inf@0,0]': FALSE,
@@ -359,6 +421,24 @@ EXPECTED = {
         ('raises', 'ValueError', 'matrix has shape (4,), expected (4, 4)'),
     'boost.is_isometry[shape-4x5]':
         ('raises', 'ValueError', 'matrix has shape (4, 5), expected (4, 4)'),
+    'boost.is_isometry[tol]': NEGATIVE_TOL,
+    'boost.scale_constraint_check[tol]': NEGATIVE_TOL,
+    'boost.scale_factor[v=-2.0,c=2.0]': V_IS_C,
+    'boost.scale_factor[v=0.5,c=-1.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
+    'boost.scale_factor[v=0.5,c=0.0]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'boost.scale_factor[v=0.5,c=1e+200]': (*C2_RANGE[:2], C2_RANGE[2].format('1e+200')),
+    'boost.scale_factor[v=0.5,c=inf]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
+    'boost.scale_factor[v=0.5,c=nan]':
+        ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
+    'boost.scale_factor[v=2.0,c=2.0]': V_IS_C,
+    'boost.scale_factor[v=5e-301,c=1e-300]': (*C2_RANGE[:2], C2_RANGE[2].format('1e-300')),
+    'boost.scale_factor[v=inf,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
+    'boost.scale_factor[v=nan,c=2.0]':
+        ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
     'cones.classify_plane[span0-+inf]': NON_FINITE,
     'cones.classify_plane[span0--inf]': NON_FINITE,
     'cones.classify_plane[span0-nan]': NON_FINITE,
@@ -466,9 +546,12 @@ EXPECTED = {
     'cones.on_null_plane_algebraic[line-direction-shape]': SHAPE_4_NOT_3,
     'cones.on_null_plane_algebraic[line-point-+inf]': NON_FINITE,
     'cones.on_null_plane_algebraic[line-point--inf]': NON_FINITE,
+    'cones.on_null_plane_algebraic[line-point-0d]':
+        ('raises', 'ValueError', 'event has shape (), expected (3,)'),
+    'cones.on_null_plane_algebraic[line-point-len1]':
+        ('raises', 'ValueError', 'event has shape (1,), expected (3,)'),
     'cones.on_null_plane_algebraic[line-point-nan]': NON_FINITE,
-    'cones.on_null_plane_algebraic[line-point-shape]':
-        ('raises', 'ValueError', 'operands could not be broadcast together with shapes (3,) (4,) '),
+    'cones.on_null_plane_algebraic[line-point-shape]': SHAPE_4_NOT_3,
     'cones.on_null_plane_algebraic[not-null]': NOT_NULL,
     'cones.on_null_plane_algebraic[not-null-direction]': NOT_NULL,
     'cones.on_null_plane_algebraic[p-+inf]': NON_FINITE,
@@ -476,15 +559,19 @@ EXPECTED = {
     'cones.on_null_plane_algebraic[p-nan]': NON_FINITE,
     'cones.on_null_plane_algebraic[p-shape]': SHAPE_4_NOT_3,
     'cones.on_null_plane_algebraic[tol]': NEGATIVE_TOL,
+    'cones.on_null_plane_algebraic[zero]': ZERO_DIRECTION,
     'cones.on_null_plane_by_characterization[line-direction-+inf]': NON_FINITE,
     'cones.on_null_plane_by_characterization[line-direction--inf]': NON_FINITE,
     'cones.on_null_plane_by_characterization[line-direction-nan]': NON_FINITE,
     'cones.on_null_plane_by_characterization[line-direction-shape]': SHAPE_4_NOT_3,
     'cones.on_null_plane_by_characterization[line-point-+inf]': NON_FINITE,
     'cones.on_null_plane_by_characterization[line-point--inf]': NON_FINITE,
+    'cones.on_null_plane_by_characterization[line-point-0d]':
+        ('raises', 'ValueError', 'event has shape (), expected (3,)'),
+    'cones.on_null_plane_by_characterization[line-point-len1]':
+        ('raises', 'ValueError', 'event has shape (1,), expected (3,)'),
     'cones.on_null_plane_by_characterization[line-point-nan]': NON_FINITE,
-    'cones.on_null_plane_by_characterization[line-point-shape]':
-        ('raises', 'ValueError', 'operands could not be broadcast together with shapes (3,) (4,) '),
+    'cones.on_null_plane_by_characterization[line-point-shape]': SHAPE_4_NOT_3,
     'cones.on_null_plane_by_characterization[not-null]': NOT_NULL,
     'cones.on_null_plane_by_characterization[not-null-direction]': NOT_NULL,
     'cones.on_null_plane_by_characterization[p-+inf]': NON_FINITE,
@@ -492,6 +579,7 @@ EXPECTED = {
     'cones.on_null_plane_by_characterization[p-nan]': NON_FINITE,
     'cones.on_null_plane_by_characterization[p-shape]': SHAPE_4_NOT_3,
     'cones.on_null_plane_by_characterization[tol]': NEGATIVE_TOL,
+    'cones.on_null_plane_by_characterization[zero]': ZERO_DIRECTION,
     'cones.plane_through[arg0-+inf]': NON_FINITE,
     'cones.plane_through[arg0--inf]': NON_FINITE,
     'cones.plane_through[arg0-nan]': NON_FINITE,
@@ -643,11 +731,13 @@ EXPECTED = {
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
     'radar.RadarScenario[v=0.5,c=0.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'radar.RadarScenario[v=0.5,c=1e+200]': (*C2_RANGE[:2], C2_RANGE[2].format('1e+200')),
     'radar.RadarScenario[v=0.5,c=inf]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
     'radar.RadarScenario[v=0.5,c=nan]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
     'radar.RadarScenario[v=2.0,c=2.0]': V_IS_C,
+    'radar.RadarScenario[v=5e-301,c=1e-300]': (*C2_RANGE[:2], C2_RANGE[2].format('1e-300')),
     'radar.RadarScenario[v=inf,c=2.0]':
         ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
     'radar.RadarScenario[v=nan,c=2.0]':
@@ -657,11 +747,13 @@ EXPECTED = {
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
     'radar.derive_map[v=0.5,c=0.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'radar.derive_map[v=0.5,c=1e+200]': (*C2_RANGE[:2], C2_RANGE[2].format('1e+200')),
     'radar.derive_map[v=0.5,c=inf]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
     'radar.derive_map[v=0.5,c=nan]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
     'radar.derive_map[v=2.0,c=2.0]': V_IS_C,
+    'radar.derive_map[v=5e-301,c=1e-300]': (*C2_RANGE[:2], C2_RANGE[2].format('1e-300')),
     'radar.derive_map[v=inf,c=2.0]':
         ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
     'radar.derive_map[v=nan,c=2.0]':
@@ -671,11 +763,13 @@ EXPECTED = {
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
     'radar.tprime[v=0.5,c=0.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'radar.tprime[v=0.5,c=1e+200]': (*C2_RANGE[:2], C2_RANGE[2].format('1e+200')),
     'radar.tprime[v=0.5,c=inf]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
     'radar.tprime[v=0.5,c=nan]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
     'radar.tprime[v=2.0,c=2.0]': V_IS_C,
+    'radar.tprime[v=5e-301,c=1e-300]': (*C2_RANGE[:2], C2_RANGE[2].format('1e-300')),
     'radar.tprime[v=inf,c=2.0]':
         ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
     'radar.tprime[v=nan,c=2.0]':
@@ -685,11 +779,13 @@ EXPECTED = {
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
     'radar.xprime[v=0.5,c=0.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'radar.xprime[v=0.5,c=1e+200]': (*C2_RANGE[:2], C2_RANGE[2].format('1e+200')),
     'radar.xprime[v=0.5,c=inf]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
     'radar.xprime[v=0.5,c=nan]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
     'radar.xprime[v=2.0,c=2.0]': V_IS_C,
+    'radar.xprime[v=5e-301,c=1e-300]': (*C2_RANGE[:2], C2_RANGE[2].format('1e-300')),
     'radar.xprime[v=inf,c=2.0]':
         ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
     'radar.xprime[v=nan,c=2.0]':
@@ -699,11 +795,13 @@ EXPECTED = {
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
     'radar.yzprime[v=0.5,c=0.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'radar.yzprime[v=0.5,c=1e+200]': (*C2_RANGE[:2], C2_RANGE[2].format('1e+200')),
     'radar.yzprime[v=0.5,c=inf]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
     'radar.yzprime[v=0.5,c=nan]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got nan'),
     'radar.yzprime[v=2.0,c=2.0]': V_IS_C,
+    'radar.yzprime[v=5e-301,c=1e-300]': (*C2_RANGE[:2], C2_RANGE[2].format('1e-300')),
     'radar.yzprime[v=inf,c=2.0]':
         ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
     'radar.yzprime[v=nan,c=2.0]':
