@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from sys import float_info
 
 import numpy as np
 
-from .minkowski import Metric, _balanced, _finite, _within
+from .minkowski import Metric, _balanced, _check_speed, _event, _finite, _within
 
 #: Velocities with |v| >= c * (1 - VELOCITY_MARGIN) are rejected: gamma diverges.
 VELOCITY_MARGIN = 1e-12
@@ -46,11 +45,7 @@ class SignatureError(NotConformalError):
 def check_velocity(v: float, c: float) -> None:
     """Raise ValueError unless c is positive and finite, c^2 is a normal float
     and |v| < c * (1 - VELOCITY_MARGIN)."""
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"invariant speed must be positive and finite, got {c}")
-    if not float_info.min <= c * c <= float_info.max:  # c^2 neither underflows nor overflows
-        raise ValueError(f"invariant speed must have c^2 in the normal float range "
-                         f"[{float_info.min}, {float_info.max}], got c = {c}")
+    _check_speed(c)
     if not math.isfinite(v) or abs(v) >= c * (1.0 - VELOCITY_MARGIN):
         raise ValueError(f"degenerate velocity: |v|={abs(v)} must be < c={c}")
 
@@ -169,9 +164,7 @@ def scale_constraint_check(
 
 def apply(m: AffineLorentzMap, e) -> np.ndarray:
     """Evaluate alpha * L @ e + a."""
-    e = np.asarray(e, dtype=float)
-    if e.shape != (m.n,):
-        raise ValueError(f"event has shape {e.shape}, expected ({m.n},)")
+    e = _event(e, m)[0]  # as_event's check, which reads only the length m.n
     return m.alpha * m.L.dot(e) + m.a
 
 

@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check hypotheses and recover the map from a sample file")
     p.add_argument("input")
-    p.add_argument("--tol", type=float, default=FIT_TOL, help="fit acceptance, relative to sample diameter")
+    p.add_argument("--tol", type=float, default=FIT_TOL, help="fit acceptance, relative to image diameter")
     p.add_argument("--cone-tol", type=float, default=GEOMETRY_TOL, help="geometric tolerance for the checks")
     p.add_argument("--out", default=None, help="write the report as JSON")
     p.set_defaults(func=_cmd_verify)

@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from math import isfinite
 from operator import mul, sub
+from sys import float_info
 
 import numpy as np
 
@@ -73,14 +74,22 @@ class Metric:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise ValueError(f"dimension must be an integer >= 2, got {self.n}")
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"invariant speed must be positive and finite, got {self.c}")
+        _check_speed(self.c)
 
     def matrix(self) -> np.ndarray:
         """Gram matrix diag(1, ..., 1, -c^2) of the inner product."""
         eta = np.eye(self.n)
         eta[-1, -1] = -self.c ** 2
         return eta
+
+
+def _check_speed(c: float) -> None:
+    # the one speed check: c positive and finite, and c^2 a normal float
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"invariant speed must be positive and finite, got {c}")
+    if not float_info.min <= c * c <= float_info.max:  # c^2 neither underflows nor overflows
+        raise ValueError(f"invariant speed must have c^2 in the normal float range "
+                         f"[{float_info.min}, {float_info.max}], got c = {c}")
 
 
 def as_event(e, m: Metric) -> np.ndarray:

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boost import AffineLorentzMap, NotConformalError, decompose_conformal
-from .minkowski import DEFAULT_TOL, Metric, _frame, _line_distance, _sine
+from .minkowski import DEFAULT_TOL, Metric, _frame, _line_distance, _minus, _sine
 
 #: Relative geometric tolerance shared by the pairwise and marker checks.
 GEOMETRY_TOL = DEFAULT_TOL
 
-#: Fit acceptance: max residual <= FIT_TOL * sample diameter, both in the balanced frame.
+#: Fit acceptance: max residual <= FIT_TOL * image diameter, both in the balanced frame.
 FIT_TOL = 1e-6
 
 #: Rank decisions count singular values of the equilibrated design above this times the largest.
@@ -336,38 +336,39 @@ def fit_affine(s: SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
     return M, a, max_residual
 
 
-def induced_field_map_check(
-    s: SampleSet, axis, grid, tol: float = GEOMETRY_TOL
-) -> FieldMapCheck:
-    """Extract the scalar map zeta from the images of grid * axis and test
-    that it is the identity automorphism on the grid.
+def induced_field_map_check(s: SampleSet, tol: float = GEOMETRY_TOL) -> FieldMapCheck:
+    """Extract the scalar map zeta from the images of the sample's axis grid
+    and test that it is the identity automorphism on the grid.
 
-    zeta(g) solves image(g * axis) - image(0) = zeta(g) * (image(axis) -
-    image(0)) in the least-squares sense along the image line.  Additivity
-    and multiplicativity are checked on all grid pairs whose sum / product
-    is again a grid value; the identity check is |zeta(g) - g| (valid
-    because zeta(1) = 1 by construction).  If the image points are not
-    collinear the errors are NaN and ``line_preserved`` is False.
+    The grid is read, not searched: row ``indices[k]`` must hold ``values[k] *
+    axis`` within 1e-9 max(1, |values[k]|) |axis| in the balanced frame, with
+    ``axis`` a nonzero n-vector of finite length and ``values`` holding 0 and 1,
+    one index each; ValueError otherwise.  zeta(g) solves image(g * axis) -
+    image(0) = zeta(g) * (image(axis) - image(0)) in the least-squares sense
+    along the image line.  Additivity and multiplicativity are checked on all
+    grid pairs whose sum / product is again a grid value; the identity check
+    is |zeta(g) - g| (valid because zeta(1) = 1 by construction).  If the
+    image points are not collinear the errors are NaN and ``line_preserved``
+    is False.
     """
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (s.metric.n,) or not np.any(axis != 0):
-        raise ValueError("axis must be a nonzero vector of the sample dimension")
-    grid = [float(g) for g in grid]
+    if s.axis_grid is None:
+        raise ValueError("the sample has no axis grid")
+    grid, indices, c = [float(g) for g in s.axis_grid.values], s.axis_grid.indices, s.metric.c
+    axis = np.asarray(s.axis_grid.axis, dtype=float)
+    axis = _frame(axis.tolist(), c) if axis.shape == (s.metric.n,) else [0.0]
+    norm = math.hypot(*axis)  # the grid's facts in the balanced frame, in Python floats
+    if not 0 < norm < math.inf:
+        raise ValueError("axis must be a nonzero vector of the sample dimension, of finite length")
     if 0.0 not in grid or 1.0 not in grid:
         raise ValueError("grid must contain 0 and 1")
-
-    # both in the balanced frame; the lookup relative to max(1, |g|) |axis|
-    c = s.metric.c
-    x, axis = _frame(s.x, c), _frame(axis, c)
-    rows = {}
-    for g in grid:
-        dist = np.linalg.norm(x - g * axis, axis=1)
-        i = int(np.argmin(dist))
-        if dist[i] > 1e-9 * max(1.0, abs(g)) * float(np.linalg.norm(axis)):
-            raise ValueError(f"grid point {g} * axis is missing from the sample")
-        rows[g] = i
-
-    y = dict(zip(rows, _frame(s.y[list(rows.values())], c)))
+    if len(grid) != len(indices):
+        raise ValueError(f"axis grid has {len(grid)} values but {len(indices)} indices")
+    for g, i in zip(grid, indices):  # both sides over w = max(1, |g|): neither overflows
+        w = max(1.0, abs(g))
+        row = [v / w for v in _frame(s.x[i].tolist(), c)]
+        if not math.hypot(*_minus(row, axis, g / w)) <= 1e-9 * norm:  # a NaN is refused
+            raise ValueError(f"axis-grid row {i} does not hold the grid point {g} * axis")
+    y = dict(zip(grid, _frame(s.y[list(indices)], c)))
     y0 = y[0.0]
     e = y[1.0] - y0
     ee = float(np.dot(e, e))
@@ -418,7 +419,7 @@ def recover_lorentz(
     """Run every hypothesis check, fit the affine model, and decompose it.
 
     The recovered map is reported iff all violation counts are zero, the
-    fit residual is within ``tol`` times the sample diameter, and the
+    fit residual is within ``tol`` times the image diameter, and the
     fitted matrix splits into a positive scale and a metric isometry.
     """
     cone = check_cone_preservation(s, geometry_tol)
@@ -440,19 +441,15 @@ def recover_lorentz(
         except NotConformalError as exc:
             failure = f"not-conformal: {exc}"
 
-    diam = 0.0
-    for pts in (s.x, s.y):
-        box = _frame(pts.max(axis=0) - pts.min(axis=0), s.metric.c)
-        diam = max(diam, float(np.linalg.norm(box)))
+    # the residual is in image units, so is its scale: the image diameter
+    diam = float(np.linalg.norm(_frame(s.y.max(axis=0) - s.y.min(axis=0), s.metric.c)))
     threshold = tol * diam if diam > 0 else tol
 
     counterexamples = _single_cone_audit(s, cone, geometry_tol)
 
     field_map = None
     if s.axis_grid is not None:
-        field_map = induced_field_map_check(
-            s, s.axis_grid.axis, s.axis_grid.values, geometry_tol
-        )
+        field_map = induced_field_map_check(s, geometry_tol)
 
     report = FitReport(
         cone=cone,

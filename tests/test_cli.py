@@ -1,12 +1,18 @@
+import functools
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from lightcone import Metric, is_isometry
+from lightcone import GenerateConfig, Metric, cli, is_isometry, make_samples
 from lightcone.recover import SampleSet
 from lightcone.sampleio import load_samples, load_truth, map_from_dict, save_samples
 
@@ -205,6 +211,12 @@ def test_classify_dimension_mismatch_exit_two():
     assert run_cli("classify", "0,0,0", "1,0,0,1").returncode == 2
 
 
+def test_classify_speed_with_an_overflowing_square_exit_two():
+    r = run_cli("classify", "1,0,0,0", "0,0,0,0", "--c", 1e200)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: invariant speed must have c^2 in the normal float range")
+
+
 @pytest.fixture(scope="module")
 def valid_sample_text(tmp_path_factory):
     f = tmp_path_factory.mktemp("valid") / "lorentz.json"
@@ -259,3 +271,78 @@ def test_verify_overflowing_samples_exit_two_without_warning(tmp_path, valid_sam
     r = run_cli("verify", bad)
     assert r.returncode == 2, r.stdout + r.stderr
     assert r.stderr.startswith("error: samples overflow") and r.stderr.count("\n") == 1, r.stderr
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_text():
+    # the file of `generate --kind lorentz --num-samples 40 --seed 0`, written in process
+    s, _ = make_samples(GenerateConfig(kind="lorentz", num_samples=40, seed=0))
+    with tempfile.TemporaryDirectory() as d:
+        save_samples(f"{d}/lorentz.json", s, seed=0, kind="lorentz")
+        return Path(f"{d}/lorentz.json").read_text()
+
+
+def _nodes(node, path=()):
+    # (path, value) of every key and item below node, depth first
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+@functools.lru_cache(maxsize=None)
+def _paths():
+    # every path of the valid file, and those of its JSON numbers
+    nodes = list(_nodes(json.loads(_valid_text())))
+    return [p for p, _ in nodes], [p for p, v in nodes if type(v) in (int, float)]
+
+
+def _mutations():
+    # one edit of the valid file: a number set to an extreme or another integer, any value
+    # swapped for one of another type, a key or item deleted, or the text truncated
+    paths = st.deferred(lambda: st.sampled_from(_paths()[0]))
+    numbers = st.deferred(lambda: st.sampled_from(_paths()[1]))
+    extremes = st.sampled_from([1e308, -1e308, 1e-200, 5e-324, 0, -1]) | st.integers(-3, 80)
+    swaps = st.sampled_from(["1", True, None, [], {}, 1.5])
+    return st.one_of(
+        st.tuples(st.just("set"), numbers, extremes),
+        st.tuples(st.just("set"), paths, swaps),
+        st.tuples(st.just("delete"), paths),
+        st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True)),
+    )
+
+
+def _mutated(text, mutation):
+    action, *args = mutation
+    if action == "truncate":
+        return text[: int(args[0] * len(text))]
+    payload = json.loads(text)
+    *keys, last = args[0]
+    target = payload
+    for key in keys:
+        target = target[key]
+    if action == "delete":
+        del target[last]
+    else:
+        target[last] = args[1]
+    return json.dumps(payload)
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutation=_mutations())
+@example(mutation=("set", ("markers", "axis_grid", "axis", 0), 1e308))
+@example(mutation=("set", ("metric", "c"), 1e-200))
+def test_verify_of_a_mutated_file_exits_with_a_code(mutation_dir, mutation):
+    # one field of a valid file changed: verify exits 0, 1 or 2, with no exception and
+    # no warning (here an exception); a grid row too large to check, and a c whose square
+    # underflows, each raised a warning
+    f = mutation_dir / "mutated.json"
+    f.write_text(_mutated(_valid_text(), mutation))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", str(f)]) in (0, 1, 2)

@@ -3,6 +3,7 @@ recovery verdict: rescaling every event by k, or measuring time in a unit
 lambda times larger while c becomes lambda * c, leaves every null test, and
 every Euclidean test of the balanced frame, where it was."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,8 @@ from lightcone import (
 )
 
 SPEEDS = (1e-3, 0.1, 1.0, 343.0, 2.99792458e8)
+FOUR_SPEEDS = SPEEDS[1:]
+KINDS = ("lorentz", "translation", "cubing", "shear", "permuted", "time-perturbed")
 
 
 def _log_uniform(lo, hi):
@@ -133,16 +136,17 @@ def test_recovery_verdict_unchanged_by_rescaling(kind, c, seed, k):
 
 
 def _gate_outcomes(s):
-    # what the marker checks, the field-map line test and the fit gate decide
+    # what the cone and marker checks, the field-map line test, the fit gate and the
+    # decomposition decide: counts, bools and the failure kind before its ":"
     rep = recover_lorentz(s)
-    return (rep.collinearity.violations, rep.parallelism.violations,
-            rep.field_map.line_preserved, rep.max_residual > rep.fit_threshold)
+    cone, failure = rep.cone, rep.failure and rep.failure.split(":")[0]
+    return (cone.violations, cone.indeterminate, cone.bijectivity_violations,
+            rep.collinearity.violations, rep.parallelism.violations,
+            rep.field_map.line_preserved, rep.max_residual > rep.fit_threshold, failure)
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(("lorentz", "translation", "cubing", "shear", "permuted",
-                             "time-perturbed")),
-       c=st.sampled_from(SPEEDS), seed=st.integers(0, 3), k=_log_uniform(1e-6, 1e6),
+@given(kind=st.sampled_from(KINDS), c=st.sampled_from(SPEEDS), seed=st.integers(0, 3), k=_log_uniform(1e-6, 1e6),
        lam=_log_uniform(1e-4, 1e4))
 @example(kind="time-perturbed", c=1.0, seed=0, k=1.0, lam=2.99792458e8)
 def test_marker_checks_and_fit_gate_unchanged_by_units(kind, c, seed, k, lam):
@@ -152,7 +156,27 @@ def test_marker_checks_and_fit_gate_unchanged_by_units(kind, c, seed, k, lam):
     assert _gate_outcomes(_retimed(s, lam)) == want
 
 
-@pytest.mark.parametrize("c", (0.1, 1.0, 343.0, 2.99792458e8))
+def _one_side_scaled(s, k, side):
+    # y -> k y, or x -> k x with the axis grid's axis: a conformal factor of k or 1 / k
+    if side == "y":
+        return dataclasses.replace(s, y=k * s.y)
+    grid = dataclasses.replace(s.axis_grid, axis=k * s.axis_grid.axis)
+    return dataclasses.replace(s, x=k * s.x, axis_grid=grid)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(KINDS), c=st.sampled_from(FOUR_SPEEDS), seed=st.integers(0, 3),
+       k=_log_uniform(1e-6, 1e6), side=st.sampled_from(("x", "y")))
+@example(kind="permuted", c=1.0, seed=0, k=1e-6, side="y")
+@example(kind="shear", c=2.99792458e8, seed=0, k=1e6, side="x")
+def test_gate_outcomes_unchanged_by_the_conformal_factor(kind, c, seed, k, side):
+    # cone preservation fixes a map only up to a positive factor, so no gate may see it;
+    # the fit threshold is taken from the image, in the residual's units
+    s = _samples(kind, c, seed)
+    assert _gate_outcomes(_one_side_scaled(s, k, side)) == _gate_outcomes(s)
+
+
+@pytest.mark.parametrize("c", FOUR_SPEEDS)
 def test_time_perturbation_refused_at_every_speed(c):
     # 1 % of the image time spread moves every marker off its line and direction
     # and the fit off the model, at every c alike

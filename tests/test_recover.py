@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -253,7 +255,7 @@ def test_field_map_identity_for_affine():
     a = np.array([0.3, -1.0, 2.0, 0.1])
     axis = np.array([1.0, 0.5, -0.25, 0.75])
     s = _axis_sample(lambda p: 1.7 * (L @ p) + a, axis, (-2, -1, 0, 0.5, 1, 2, 3))
-    fm = induced_field_map_check(s, axis, (-2, -1, 0, 0.5, 1, 2, 3))
+    fm = induced_field_map_check(s)
     assert fm.line_preserved
     assert fm.additivity_error <= 1e-10
     assert fm.multiplicativity_error <= 1e-10
@@ -264,7 +266,7 @@ def test_field_map_identity_for_affine():
 def test_field_map_trivial_grid():
     axis = np.array([1.0, 0.0, 0.0, 0.0])
     s = _axis_sample(lambda p: 2.0 * p, axis, (0, 1))
-    fm = induced_field_map_check(s, axis, (0, 1))
+    fm = induced_field_map_check(s)
     # zeta(0) = 0 and zeta(1) = 1 hold by construction
     assert fm.identity_error == 0.0
 
@@ -274,7 +276,7 @@ def test_field_map_cubing_multiplicative_not_additive():
     axis = np.array([1.0, 0.0, 0.0, 0.0])
     values = (0.0, 1.0, 2.0, 3.0, 6.0)
     s = _axis_sample(lambda p: p ** 3, axis, values)
-    fm = induced_field_map_check(s, axis, values)
+    fm = induced_field_map_check(s)
     assert fm.line_preserved
     assert fm.multiplicativity_error <= 1e-10  # zeta(6) = 216 = 8 * 27
     assert fm.additivity_error >= 27 - 9 - 1e-9  # zeta(3) vs zeta(1) + zeta(2)
@@ -283,18 +285,51 @@ def test_field_map_cubing_multiplicative_not_additive():
 def test_field_map_reports_broken_line():
     axis = np.array([1.0, 1.0, 0.0, 0.0])
     s = _axis_sample(lambda p: p + np.array([p[0] ** 2, 0, 0, 0]), axis, (0, 1, 2))
-    fm = induced_field_map_check(s, axis, (0, 1, 2))
+    fm = induced_field_map_check(s)
     assert not fm.line_preserved
     assert math.isnan(fm.additivity_error)
+
+
+def _regridded(s, **fields):
+    # s with its axis grid's fields replaced
+    return dataclasses.replace(s, axis_grid=dataclasses.replace(s.axis_grid, **fields))
 
 
 def test_field_map_requires_grid_many():
     axis = np.array([1.0, 0.0, 0.0, 0.0])
     s = _axis_sample(lambda p: p, axis, (0, 1))
     with pytest.raises(ValueError, match="0 and 1"):
-        induced_field_map_check(s, axis, (0.5, 2.0))
-    with pytest.raises(ValueError, match="missing"):
-        induced_field_map_check(s, axis, (0.0, 1.0, 7.0))
+        induced_field_map_check(_regridded(s, values=(0.5, 2.0)))
+    with pytest.raises(ValueError, match="row 2 does not hold the grid point 7.0"):
+        induced_field_map_check(_regridded(s, values=(0.0, 1.0, 7.0), indices=(0, 1, 2)))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"axis": np.zeros(4)}, "nonzero vector"),
+    ({"axis": np.ones(3)}, "nonzero vector"),
+    ({"axis": np.full(4, 1e308)}, "finite length"),
+    ({"axis": np.array([1e308, 0.0, 0.0, 0.0])}, "row 1 does not hold"),  # 1e-9 |axis| is finite
+    ({"axis": np.array([math.nan, 0.0, 0.0, 0.0])}, "finite length"),
+    ({"indices": (0, 1)}, "3 values but 2 indices"),
+    ({"indices": (0, 1, 3, 2)}, "3 values but 4 indices"),
+    ({"indices": (0, 2, 1)}, "row 2 does not hold the grid point 1.0"),
+    ({"values": (0.0, 1.0, 1e308)}, r"row 2 does not hold the grid point 1e\+308"),
+    ({"values": (0.0, 1.0, math.nan)}, "row 2 does not hold the grid point nan"),
+])
+def test_field_map_refuses_each_grid_fault(fields, message):
+    # the rows the grid names must hold values[k] * axis: no search, no overflow
+    s = _axis_sample(lambda p: 2.0 * p, np.array([1.0, 0.5, -0.25, 0.75]), (0, 1, 2))
+    assert induced_field_map_check(s).line_preserved
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            induced_field_map_check(_regridded(s, **fields))
+
+
+def test_recover_refuses_a_grid_fault():
+    s, _ = lorentz_set()
+    with pytest.raises(ValueError, match="does not hold"):
+        recover_lorentz(_regridded(s, indices=s.axis_grid.indices[::-1]))
 
 
 # ---------------------------------------------------- end-to-end properties

@@ -34,7 +34,10 @@ zero direction: ``[line-point-shape]`` read numpy's broadcast error, and a
 ``gamma`` and ``scale_factor`` check the velocity, every velocity check refuses
 a c whose square is not a normal float (it raised ZeroDivisionError or
 OverflowError further in), and a map refuses non-finite entries, also where
-``compose`` or ``inverse`` overflows.
+``compose`` or ``inverse`` overflows.  ``Metric`` shares that speed check
+(``Metric[c=1e+200]`` and ``[c=1e-200]``; it accepted them, and ``c ** 2``
+raised OverflowError further in), and ``boost.apply`` gives a non-finite event
+the event check's message (``apply[nan]`` returned NaN, ``[+inf]`` warned).
 
 The Python float forms that replaced numpy calls on 3-vectors and a few
 ratios (``cones._cross``, ``boost._median``) must equal those calls bit
@@ -113,7 +116,7 @@ def _rows():
     # two faults at once: classify refuses the tol first, line_through the zero direction
     rows["minkowski.classify[tol-and-shape]"] = (minkowski.classify, (np.ones(3), S4, M4, -1e-9))
     rows["minkowski.as_event[list-shape]"] = (minkowski.as_event, ([1, 2, 3], M4))
-    for c in (0.0, -1.0, math.nan, math.inf):
+    for c in (0.0, -1.0, math.nan, math.inf, 1e200, 1e-200):
         rows[f"minkowski.Metric[c={c}]"] = (Metric, (4, c))
     for n in (1, 2.5):
         rows[f"minkowski.Metric[n={n}]"] = (Metric, (n, 1.0))
@@ -248,6 +251,8 @@ def _rows():
         boost.inverse, (AffineLorentzMap(1.0, np.diag([1.0, 1.0, 1.0, 1e-320]), R4),))
     rows["boost.inverse[alpha-overflow]"] = (boost.inverse, (AffineLorentzMap(1e-320, B, R4),))
     rows["boost.apply[shape]"] = (boost.apply, (MAP, np.ones(3)))
+    for fault in FAULTS[1:]:
+        rows[f"boost.apply[{fault}]"] = (boost.apply, (MAP, _bad(R4, fault)))
     rows["boost.compose[dims]"] = (boost.compose, (MAP, boost.identity_map(3)))
     singular = AffineLorentzMap(1.0, np.zeros((4, 4)), R4)
     rows["boost.inverse[singular]"] = (boost.inverse, (singular,))
@@ -346,6 +351,9 @@ EXPECTED = {
         ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
     'boost.BoostParams[v=nan,c=2.0]':
         ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
+    'boost.apply[+inf]': NON_FINITE,
+    'boost.apply[-inf]': NON_FINITE,
+    'boost.apply[nan]': NON_FINITE,
     'boost.apply[shape]': ('raises', 'ValueError', 'event has shape (3,), expected (4,)'),
     'boost.compose[alpha-overflow]': ALPHA_INF,
     'boost.compose[dims]': ('raises', 'ValueError', 'dimension mismatch: 4 vs 3'),
@@ -666,6 +674,8 @@ EXPECTED = {
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
     'minkowski.Metric[c=0.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got 0.0'),
+    'minkowski.Metric[c=1e+200]': (*C2_RANGE[:2], C2_RANGE[2].format('1e+200')),
+    'minkowski.Metric[c=1e-200]': (*C2_RANGE[:2], C2_RANGE[2].format('1e-200')),
     'minkowski.Metric[c=inf]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got inf'),
     'minkowski.Metric[c=nan]':
