@@ -284,8 +284,9 @@ def _valid_text():
 
 def _nodes(node, path=()):
     # (path, value) of every key and item below node, depth first
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, value in items:
+    if not isinstance(node, (dict, list)):
+        return
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
         yield path + (key,), value
         yield from _nodes(value, path + (key,))
 
@@ -339,8 +340,8 @@ def mutation_dir(tmp_path_factory):
 @example(mutation=("set", ("metric", "c"), 1e-200))
 def test_verify_of_a_mutated_file_exits_with_a_code(mutation_dir, mutation):
     # one field of a valid file changed: verify exits 0, 1 or 2, with no exception and
-    # no warning (here an exception); a grid row too large to check, and a c whose square
-    # underflows, each raised a warning
+    # no warning (here an exception); the examples are an axis-grid axis too large for
+    # its rows and a c whose square underflows
     f = mutation_dir / "mutated.json"
     f.write_text(_mutated(_valid_text(), mutation))
     with warnings.catch_warnings():

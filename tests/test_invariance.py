@@ -146,8 +146,8 @@ def _gate_outcomes(s):
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(KINDS), c=st.sampled_from(SPEEDS), seed=st.integers(0, 3), k=_log_uniform(1e-6, 1e6),
-       lam=_log_uniform(1e-4, 1e4))
+@given(kind=st.sampled_from(KINDS), c=st.sampled_from(SPEEDS), seed=st.integers(0, 3),
+       k=_log_uniform(1e-6, 1e6), lam=_log_uniform(1e-4, 1e4))
 @example(kind="time-perturbed", c=1.0, seed=0, k=1.0, lam=2.99792458e8)
 def test_marker_checks_and_fit_gate_unchanged_by_units(kind, c, seed, k, lam):
     s = _samples(kind, c, seed)
