@@ -4,12 +4,14 @@ Positive kinds (``lorentz``, ``translation``, ``noisy-lorentz``) come from
 a known affine map whose parameters go into a ground-truth record for
 round-trip tests.  Negative kinds (``cubing``, ``shear``) break the
 cone-preservation hypotheses on purpose; the cubing factory searches for a
-null pair whose image pair is demonstrably non-null and marks it.
+null pair whose image pair is demonstrably non-null and records it in the
+ground truth as ``witness_pair``.
 
-Every sample cloud carries markers for the downstream checks: collinear
-triples, parallel segment pairs, deliberately null pairs, and a grid of
+Every sample cloud holds null partners of four points, which the pairwise
+cone check tests with every other pair, and carries markers for the
+downstream checks: collinear triples, parallel segment pairs, and a grid of
 multiples of one axis vector for the induced-scalar-map check.  The time
-coordinate is drawn with spread ``spread * min(1, 30 / c)`` so that clouds
+coordinate is drawn with spread ``SPREAD * min(1, 30 / c)`` so that clouds
 stay numerically informative at any invariant speed: wider would drown the
 small boost entries, narrower would leave the time column of the fit
 under-resolved.
@@ -26,6 +28,9 @@ from .minkowski import DEFAULT_TOL, CausalClass, Metric, classify
 from .recover import AxisGrid, SampleSet
 
 KINDS = ("lorentz", "translation", "cubing", "shear", "noisy-lorentz")
+
+#: half-width of each coordinate's uniform draw (time: SPREAD * min(1, 30 / c))
+SPREAD = 5.0
 
 AXIS_GRID_VALUES = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0)
 
@@ -45,7 +50,6 @@ class GenerateConfig:
     num_samples: int = 50
     seed: int = 0
     noise: float = 0.0
-    spread: float = 5.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -65,8 +69,8 @@ class GenerateConfig:
 
 
 def _scales(cfg: GenerateConfig) -> np.ndarray:
-    s = np.full(cfg.n, cfg.spread)
-    s[-1] = cfg.spread * min(1.0, 30.0 / cfg.c)
+    s = np.full(cfg.n, SPREAD)
+    s[-1] = SPREAD * min(1.0, 30.0 / cfg.c)
     return s
 
 
@@ -76,7 +80,7 @@ def _domain_cloud(cfg: GenerateConfig, rng: np.random.Generator):
     base = cfg.num_samples - STRUCTURED_POINTS
     pts = list(rng.uniform(-1.0, 1.0, (base, cfg.n)) * scales)
 
-    null_pairs = []
+    null_partners = []
     for i in range(4):
         anchor = pts[i % base]
         u = rng.standard_normal(cfg.n - 1)
@@ -84,7 +88,7 @@ def _domain_cloud(cfg: GenerateConfig, rng: np.random.Generator):
         dt = rng.uniform(0.2, 1.0) * scales[-1]
         partner = anchor + np.concatenate([cfg.c * dt * u, [dt]])
         pts.append(partner)
-        null_pairs.append((i % base, len(pts) - 1))
+        null_partners.append((i % base, len(pts) - 1))
 
     collinear = []
     for _ in range(4):
@@ -110,7 +114,7 @@ def _domain_cloud(cfg: GenerateConfig, rng: np.random.Generator):
         values=AXIS_GRID_VALUES,
         indices=tuple(range(grid_base, grid_base + len(AXIS_GRID_VALUES))),
     )
-    return np.array(pts), collinear, parallel, null_pairs, axis_grid
+    return np.array(pts), collinear, parallel, null_partners, axis_grid
 
 
 def _ground_truth_map(cfg: GenerateConfig, rng: np.random.Generator):
@@ -133,7 +137,7 @@ def make_samples(cfg: GenerateConfig) -> tuple[SampleSet, dict]:
     Deterministic for a fixed seed."""
     rng = np.random.default_rng(cfg.seed)
     metric = Metric(cfg.n, cfg.c)
-    x, collinear, parallel, null_pairs, axis_grid = _domain_cloud(cfg, rng)
+    x, collinear, parallel, null_partners, axis_grid = _domain_cloud(cfg, rng)
 
     truth: dict = {"kind": cfg.kind, "seed": cfg.seed, "n": cfg.n, "c": cfg.c}
     if cfg.kind in ("lorentz", "translation", "noisy-lorentz"):
@@ -161,33 +165,26 @@ def make_samples(cfg: GenerateConfig) -> tuple[SampleSet, dict]:
     else:  # pragma: no cover - guarded by GenerateConfig
         raise ValueError(cfg.kind)
 
-    samples = SampleSet(
-        metric=metric,
-        x=x,
-        y=y,
-        collinear=collinear,
-        parallel=parallel,
-        null_pairs=null_pairs,
-        axis_grid=axis_grid,
-    )
+    samples = SampleSet(metric=metric, x=x, y=y, collinear=collinear, parallel=parallel,
+                        axis_grid=axis_grid)
 
     if cfg.kind == "cubing":
-        witness = _ensure_nonnull_image_witness(samples, rng)
+        witness = _ensure_nonnull_image_witness(samples, null_partners, rng)
         truth["witness_pair"] = list(witness)
     return samples, truth
 
 
 def _ensure_nonnull_image_witness(
-    s: SampleSet, rng: np.random.Generator, tol: float = DEFAULT_TOL
+    s: SampleSet, null_partners: list, rng: np.random.Generator, tol: float = DEFAULT_TOL
 ) -> tuple[int, int]:
-    """Guarantee the sample holds a marked null pair whose image interval is
-    solidly nonzero; search random null offsets if none of the marked ones
-    qualifies."""
+    """Guarantee the sample holds a null pair whose image interval is
+    solidly nonzero; search random null offsets, and append the pair found,
+    if none of the placed ``null_partners`` qualifies."""
 
     def image_breaks(a: np.ndarray, b: np.ndarray) -> bool:
         return classify(a, b, s.metric, 100 * tol) is not CausalClass.LIGHTLIKE
 
-    for (i, j) in s.null_pairs:
+    for (i, j) in null_partners:
         if image_breaks(s.y[i], s.y[j]):
             return i, j
 
@@ -203,7 +200,6 @@ def _ensure_nonnull_image_witness(
             base = len(s.x)
             s.x = np.vstack([s.x, anchor, partner])
             s.y = np.vstack([s.y, ya, yp])
-            s.null_pairs.append((base, base + 1))
             return base, base + 1
     raise RuntimeError("could not construct a null pair broken by cubing")
 
@@ -216,12 +212,5 @@ def permute_images(s: SampleSet, seed: int = 0) -> SampleSet:
     perm = np.arange(n)
     while np.any(perm == np.arange(n)):
         perm = rng.permutation(n)
-    return SampleSet(
-        metric=s.metric,
-        x=s.x.copy(),
-        y=s.y[perm],
-        collinear=list(s.collinear),
-        parallel=list(s.parallel),
-        null_pairs=list(s.null_pairs),
-        axis_grid=s.axis_grid,
-    )
+    return SampleSet(metric=s.metric, x=s.x.copy(), y=s.y[perm], collinear=list(s.collinear),
+                     parallel=list(s.parallel), axis_grid=s.axis_grid)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -41,9 +42,9 @@ class UnderdeterminedError(ValueError):
 
 @dataclass(frozen=True)
 class AxisGrid:
-    """Bookkeeping for samples of the form value * axis: ``indices[k]`` is
-    the row of ``values[k] * axis`` in the sample arrays.  Values must
-    include 0 and 1."""
+    """Row ``indices[k]`` holds ``values[k] * axis``, within GEOMETRY_TOL
+    max(1, |values[k]|) |axis| in the balanced frame; ``axis`` is nonzero and
+    finite, ``values`` holds 0 and 1, one index each (SampleSet checks)."""
 
     axis: np.ndarray
     values: tuple[float, ...]
@@ -52,22 +53,24 @@ class AxisGrid:
 
 @dataclass
 class SampleSet:
-    """Sampled pairs y_i = f(x_i) of an unknown map, with optional markers
-    laid down at generation time: collinear triples, parallel quadruples
-    (two segments each), deliberately null pairs, and an axis grid."""
+    """Sampled pairs y_i = f(x_i) of an unknown map, with optional markers,
+    each a fact about the domain that the checks test on the image.
+    Construction refuses (ValueError) a collinear triple (i, j, k) with x_i =
+    x_j or x_k off their line, a parallel quadruple (i, j, k, l) whose segments
+    x_i x_j and x_k x_l are zero or not parallel (line distance or sine above
+    GEOMETRY_TOL, in the balanced frame), and an AxisGrid whose facts fail."""
 
     metric: Metric
     x: np.ndarray
     y: np.ndarray
     collinear: list[tuple[int, int, int]] = field(default_factory=list)
     parallel: list[tuple[int, int, int, int]] = field(default_factory=list)
-    null_pairs: list[tuple[int, int]] = field(default_factory=list)
     axis_grid: AxisGrid | None = None
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
-        n = self.metric.n
+        n, c = self.metric.n, self.metric.c
         if self.x.ndim != 2 or self.x.shape[1] != n:
             raise ValueError(f"x has shape {self.x.shape}, expected (N, {n})")
         if self.y.shape != self.x.shape:
@@ -76,21 +79,41 @@ class SampleSet:
             raise ValueError("samples contain non-finite values")
         # 16x each sum of the cone check stays finite: time weighted by max(1, c) bounds
         # both its screen and its definition, and below 2^250 none exceeds n 2^502
-        w = max(1.0, self.metric.c)
+        w = max(1.0, c)
         if w * float(max(np.abs(p).max(initial=0.0) for p in (self.x, self.y))) > 2.0 ** 250:
             with np.errstate(over="ignore"):
                 norms = 16 * _centred(np.stack((self.x, self.y)), w)[1]
             if not np.isfinite(norms).all():
                 raise OverflowError("samples overflow: a squared distance from the first "
                                     "point exceeds 1/16 of the float range")
-        for marker in (*self.collinear, *self.parallel, *self.null_pairs):
-            for i in marker:
-                if not 0 <= i < len(self.x):
-                    raise ValueError(f"marker index {i} out of range")
-        if self.axis_grid is not None:
-            for i in self.axis_grid.indices:
-                if not 0 <= i < len(self.x):
-                    raise ValueError(f"axis-grid index {i} out of range")
+        grid = self.axis_grid
+        for i in chain(*self.collinear, *self.parallel, grid.indices if grid else ()):
+            if not 0 <= i < len(self.x):
+                raise ValueError(f"marker index {i} out of range")
+        for marker in (*self.collinear, *self.parallel):
+            kind = "collinear" if len(marker) == 3 else "parallel"
+            residual = _marker_residual(self.x, marker, c)
+            if residual is None:
+                raise ValueError(f"degenerate {kind} marker {marker}: a zero-length segment")
+            if residual > GEOMETRY_TOL:
+                raise ValueError(f"{kind} marker {marker} is not {kind} in the domain")
+        if grid is None:
+            return
+        # the grid's facts in the balanced frame, in Python floats
+        values, axis = [float(g) for g in grid.values], np.asarray(grid.axis, dtype=float)
+        axis = _frame(axis.tolist(), c) if axis.shape == (n,) else [0.0]
+        norm = math.hypot(*axis)
+        if not 0 < norm < math.inf:
+            raise ValueError("axis must be a nonzero vector of the sample dimension, of finite length")
+        if 0.0 not in values or 1.0 not in values:
+            raise ValueError("grid must contain 0 and 1")
+        if len(values) != len(grid.indices):
+            raise ValueError(f"axis grid has {len(values)} values but {len(grid.indices)} indices")
+        for g, i in zip(values, grid.indices):  # both sides over w = max(1, |g|): neither overflows
+            w = max(1.0, abs(g))
+            row = [v / w for v in _frame(self.x[i].tolist(), c)]
+            if not math.hypot(*_minus(row, axis, g / w)) <= GEOMETRY_TOL * norm:  # a NaN is refused
+                raise ValueError(f"axis-grid row {i} does not hold the grid point {g} * axis")
 
     def __len__(self) -> int:
         return len(self.x)
@@ -275,41 +298,41 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
     )
 
 
-def check_collinearity(s: SampleSet, tol: float = GEOMETRY_TOL) -> MarkerCheck:
-    """Images of marked collinear triples must be collinear: the third
-    point's line distance from the first two, in the balanced frame."""
+def _marker_residual(p: np.ndarray, marker: tuple, c: float) -> float | None:
+    # a triple's line distance, or the sine of a quadruple's two segments, in the
+    # balanced frame; None where the line or a segment has zero length
+    q = _frame(p[list(marker)], c)
+    u = q[1] - q[0]
+    if len(marker) == 3:
+        return _line_distance(q[2] - q[0], u) if u.any() else None
+    w = q[3] - q[2]
+    return _sine(u, w) if u.any() and w.any() else None
+
+
+def _image_check(s: SampleSet, markers: list, tol: float) -> MarkerCheck:
+    # a collapsed image has no line or direction: the whole side is off it, residual 1
     violations = 0
     worst = 0.0
-    for (i, j, k) in s.collinear:
-        xi, xj, xk = _frame(s.x[[i, j, k]], s.metric.c)
-        if np.array_equal(xi, xj):
-            raise ValueError(f"degenerate collinear marker ({i}, {j}, {k}): x_i = x_j")
-        if _line_distance(xk - xi, xj - xi) > tol:
-            raise ValueError(f"marked triple ({i}, {j}, {k}) is not collinear in the domain")
-        yi, yj, yk = _frame(s.y[[i, j, k]], s.metric.c)
-        collapsed = np.array_equal(yi, yj)  # no line to project onto: the whole side is off it
-        resid = 1.0 if collapsed else _line_distance(yk - yi, yj - yi)
-        worst = max(worst, resid)
-        if collapsed or resid > tol:
+    for marker in markers:
+        residual = _marker_residual(s.y, marker, s.metric.c)
+        worst = max(worst, 1.0 if residual is None else residual)
+        if residual is None or residual > tol:
             violations += 1
-    return MarkerCheck(checked=len(s.collinear), violations=violations, worst_residual=worst)
+    return MarkerCheck(checked=len(markers), violations=violations, worst_residual=worst)
+
+
+def check_collinearity(s: SampleSet, tol: float = GEOMETRY_TOL) -> MarkerCheck:
+    """Images of marked collinear triples must be collinear: the third
+    point's line distance from the first two, in the balanced frame.  The
+    triples are collinear in the domain (SampleSet checks them)."""
+    return _image_check(s, s.collinear, tol)
 
 
 def check_parallelism(s: SampleSet, tol: float = GEOMETRY_TOL) -> MarkerCheck:
     """Image directions of marked parallel segment pairs must stay parallel
-    (sine of the angle within tol, in the balanced frame)."""
-    violations = 0
-    worst = 0.0
-    for (i, j, k, l) in s.parallel:
-        yi, yj, yk, yl = _frame(s.y[[i, j, k, l]], s.metric.c)
-        u, w = yj - yi, yl - yk
-        if not (u.any() and w.any()):
-            raise ValueError(f"zero-length image direction in marker ({i}, {j}, {k}, {l})")
-        sin_angle = _sine(u, w)
-        worst = max(worst, sin_angle)
-        if sin_angle > tol:
-            violations += 1
-    return MarkerCheck(checked=len(s.parallel), violations=violations, worst_residual=worst)
+    (sine of the angle within tol, in the balanced frame).  The segments are
+    parallel in the domain (SampleSet checks them)."""
+    return _image_check(s, s.parallel, tol)
 
 
 def fit_affine(s: SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
@@ -340,35 +363,19 @@ def induced_field_map_check(s: SampleSet, tol: float = GEOMETRY_TOL) -> FieldMap
     """Extract the scalar map zeta from the images of the sample's axis grid
     and test that it is the identity automorphism on the grid.
 
-    The grid is read, not searched: row ``indices[k]`` must hold ``values[k] *
-    axis`` within 1e-9 max(1, |values[k]|) |axis| in the balanced frame, with
-    ``axis`` a nonzero n-vector of finite length and ``values`` holding 0 and 1,
-    one index each; ValueError otherwise.  zeta(g) solves image(g * axis) -
+    The grid is read, not searched: row ``indices[k]`` holds ``values[k] *
+    axis`` (SampleSet checks it).  zeta(g) solves image(g * axis) -
     image(0) = zeta(g) * (image(axis) - image(0)) in the least-squares sense
     along the image line.  Additivity and multiplicativity are checked on all
     grid pairs whose sum / product is again a grid value; the identity check
     is |zeta(g) - g| (valid because zeta(1) = 1 by construction).  If the
     image points are not collinear the errors are NaN and ``line_preserved``
-    is False.
+    is False.  ValueError if the sample has no grid.
     """
     if s.axis_grid is None:
         raise ValueError("the sample has no axis grid")
-    grid, indices, c = [float(g) for g in s.axis_grid.values], s.axis_grid.indices, s.metric.c
-    axis = np.asarray(s.axis_grid.axis, dtype=float)
-    axis = _frame(axis.tolist(), c) if axis.shape == (s.metric.n,) else [0.0]
-    norm = math.hypot(*axis)  # the grid's facts in the balanced frame, in Python floats
-    if not 0 < norm < math.inf:
-        raise ValueError("axis must be a nonzero vector of the sample dimension, of finite length")
-    if 0.0 not in grid or 1.0 not in grid:
-        raise ValueError("grid must contain 0 and 1")
-    if len(grid) != len(indices):
-        raise ValueError(f"axis grid has {len(grid)} values but {len(indices)} indices")
-    for g, i in zip(grid, indices):  # both sides over w = max(1, |g|): neither overflows
-        w = max(1.0, abs(g))
-        row = [v / w for v in _frame(s.x[i].tolist(), c)]
-        if not math.hypot(*_minus(row, axis, g / w)) <= 1e-9 * norm:  # a NaN is refused
-            raise ValueError(f"axis-grid row {i} does not hold the grid point {g} * axis")
-    y = dict(zip(grid, _frame(s.y[list(indices)], c)))
+    grid = [float(g) for g in s.axis_grid.values]
+    y = dict(zip(grid, _frame(s.y[list(s.axis_grid.indices)], s.metric.c)))
     y0 = y[0.0]
     e = y[1.0] - y0
     ee = float(np.dot(e, e))
@@ -421,7 +428,10 @@ def recover_lorentz(
     The recovered map is reported iff all violation counts are zero, the
     fit residual is within ``tol`` times the image diameter, and the
     fitted matrix splits into a positive scale and a metric isometry.
+    ValueError, before any check runs, if ``tol`` is not in [0, inf).
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"fit tolerance must be finite and >= 0, got {tol}")
     cone = check_cone_preservation(s, geometry_tol)
     coll = check_collinearity(s, geometry_tol)
     par = check_parallelism(s, geometry_tol)

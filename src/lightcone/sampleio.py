@@ -50,7 +50,6 @@ def save_samples(path: str, s: SampleSet, seed=None, kind=None) -> None:
     markers: dict = {
         "collinear": [list(t) for t in s.collinear],
         "parallel": [list(t) for t in s.parallel],
-        "null_pairs": [list(t) for t in s.null_pairs],
     }
     if s.axis_grid is not None:
         markers["axis_grid"] = {
@@ -94,9 +93,11 @@ def _indices(t, arity: int | None, what: str) -> tuple[int, ...]:
 
 def load_samples(path: str) -> tuple[SampleSet, dict]:
     """Read a sample file; returns the SampleSet and a metadata dict with
-    ``seed`` and ``kind``.  Raises SampleFormatError on malformed input,
-    and OverflowError (a domain error) on samples too large for the cone
-    check."""
+    ``seed`` and ``kind``.  Raises SampleFormatError on malformed input, a
+    marker whose domain fact does not hold (SampleSet) included, and
+    OverflowError (a domain error) on samples too large for the cone check.
+    Other marker keys, such as the null-pair markers of older files, are
+    ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             # an integer of 300 digits or more reads as a float (inf past the float range)
@@ -132,7 +133,7 @@ def load_samples(path: str) -> tuple[SampleSet, dict]:
             )
         tuples = {
             key: [_indices(t, arity, f"{key} marker") for t in markers.get(key, [])]
-            for key, arity in (("collinear", 3), ("parallel", 4), ("null_pairs", 2))
+            for key, arity in (("collinear", 3), ("parallel", 4))
         }
         samples = SampleSet(metric=metric, x=x, y=y, axis_grid=axis_grid, **tuples)
     except (KeyError, TypeError, ValueError) as exc:

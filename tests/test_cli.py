@@ -49,21 +49,18 @@ def test_generate_translation_kind(tmp_path):
 
 
 def test_generate_cubing_includes_broken_null_pair(tmp_path):
+    # the ground truth names a pair of the sample that is null and whose image is not
     f = tmp_path / "cube.json"
     assert run_cli("generate", "--kind", "cubing", "--seed", 3, "--out", f).returncode == 0
     s, _ = load_samples(str(f))
     m = s.metric
-    assert s.null_pairs
-    broken = 0
-    for i, j in s.null_pairs:
-        dx = s.x[i] - s.x[j]
-        dy = s.y[i] - s.y[j]
-        ix = float(np.dot(dx[:-1], dx[:-1]) - m.c ** 2 * dx[-1] ** 2)
-        iy = float(np.dot(dy[:-1], dy[:-1]) - m.c ** 2 * dy[-1] ** 2)
-        assert abs(ix) <= 1e-9 * max(1.0, float(np.dot(dx, dx)))
-        if abs(iy) > 1e-7 * max(1.0, float(np.dot(dy, dy))):
-            broken += 1
-    assert broken >= 1
+    i, j = load_truth(str(f) + ".truth.json")["witness_pair"]
+    dx = s.x[i] - s.x[j]
+    dy = s.y[i] - s.y[j]
+    ix = float(np.dot(dx[:-1], dx[:-1]) - m.c ** 2 * dx[-1] ** 2)
+    iy = float(np.dot(dy[:-1], dy[:-1]) - m.c ** 2 * dy[-1] ** 2)
+    assert abs(ix) <= 1e-9 * max(1.0, float(np.dot(dx, dx)))
+    assert abs(iy) > 1e-7 * max(1.0, float(np.dot(dy, dy)))
 
 
 def test_generate_rejects_bad_params(tmp_path):
@@ -243,7 +240,6 @@ FILE_FAULTS = {
     "collinear-two-indices": _edited("markers", "collinear", 0, value=lambda t: t[:2]),
     "c-string": _edited("metric", "c", value=lambda c: str(c)),
     "n-fractional": _edited("metric", "n", value=lambda n: n + 0.5),
-    "null-pair-index-fractional": _edited("markers", "null_pairs", 0, 0, value=lambda i: i + 0.5),
     "c-beyond-float": _edited("metric", "c", value=lambda c: 10 ** 400),
     "x-coordinate-string": _edited("pairs", 0, "x", 0, value=lambda v: "1"),
     "y-coordinate-true": _edited("pairs", 1, "y", 1, value=lambda v: True),
@@ -251,6 +247,13 @@ FILE_FAULTS = {
     "c-too-long-to-parse": lambda text: text.replace('"c": 1.0', '"c": ' + "9" * 5000).encode(),
     "axis-value-beyond-float": _edited("markers", "axis_grid", "values", 0, value=lambda v: 10 ** 400),
     "axis-component-infinite": _edited("markers", "axis_grid", "axis", 0, value=lambda v: math.inf),
+    # a marker whose domain fact does not hold
+    "collinear-degenerate": _edited("markers", "collinear", 0, 1, value=lambda i: 5),
+    "collinear-off-line": _edited("markers", "collinear", 0, 2, value=lambda i: i + 1),
+    "parallel-zero-segment": _edited("markers", "parallel", 0, 1, value=lambda i: i - 1),
+    "parallel-index-changed": _edited("markers", "parallel", 0, 3, value=lambda i: i + 1),
+    "grid-index-wrong-row": _edited("markers", "axis_grid", "indices", 0, value=lambda i: i + 1),
+    "grid-axis-huge": _edited("markers", "axis_grid", "axis", 0, value=lambda v: 1e308),
 }
 
 
@@ -261,6 +264,29 @@ def test_verify_file_fault_exit_one(tmp_path, valid_sample_text, fault):
     r = run_cli("verify", bad)
     assert r.returncode == 1, r.stdout + r.stderr
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_verify_refuses_a_bad_fit_tolerance(tmp_path, valid_sample_text, tol):
+    f = tmp_path / "valid.json"
+    f.write_text(valid_sample_text)
+    r = run_cli("verify", f, f"--tol={tol}")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr == f"error: fit tolerance must be finite and >= 0, got {float(tol)}\n"
+
+
+def test_verify_at_cone_tol_zero_writes_a_report(tmp_path, valid_sample_text):
+    # the markers' domain facts are checked at GEOMETRY_TOL when the file loads, so
+    # --cone-tol reaches only the image: at 0 it refuses, with a report
+    f, rep = tmp_path / "valid.json", tmp_path / "rep.json"
+    f.write_text(valid_sample_text)
+    r = run_cli("verify", f, "--cone-tol", 0, "--out", rep)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr == "" and "recovered: none" in r.stdout
+    body = json.loads(rep.read_text())["report"]
+    assert body["recovered"] is None
+    assert body["collinearity"]["checked"] == 4 and body["parallelism"]["checked"] == 3
 
 
 def test_verify_overflowing_samples_exit_two_without_warning(tmp_path, valid_sample_text):
@@ -338,12 +364,18 @@ def mutation_dir(tmp_path_factory):
 @given(mutation=_mutations())
 @example(mutation=("set", ("markers", "axis_grid", "axis", 0), 1e308))
 @example(mutation=("set", ("metric", "c"), 1e-200))
+@example(mutation=("set", ("markers", "parallel", 0, 3), 23))
+@example(mutation=("set", ("markers", "axis_grid", "indices", 0), 32))
 def test_verify_of_a_mutated_file_exits_with_a_code(mutation_dir, mutation):
     # one field of a valid file changed: verify exits 0, 1 or 2, with no exception and
-    # no warning (here an exception); the examples are an axis-grid axis too large for
-    # its rows and a c whose square underflows
+    # no warning (here an exception), and a changed marker is a file fault or harmless,
+    # never a refusal of the map; the examples are an axis-grid axis too large for its
+    # rows, a c whose square underflows, a parallel index naming a point of the next
+    # quadruple and a grid index naming the wrong row
     f = mutation_dir / "mutated.json"
     f.write_text(_mutated(_valid_text(), mutation))
+    action, *args = mutation
+    markers = action != "truncate" and args[0][0] == "markers"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert cli.main(["verify", str(f)]) in (0, 1, 2)
+        assert cli.main(["verify", str(f)]) in ((0, 1) if markers else (0, 1, 2))

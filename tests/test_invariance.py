@@ -95,7 +95,7 @@ def _transformed(s, scale, c):
     grid = s.axis_grid
     return SampleSet(
         metric=Metric(s.metric.n, c), x=scale * s.x, y=scale * s.y, collinear=s.collinear,
-        parallel=s.parallel, null_pairs=s.null_pairs,
+        parallel=s.parallel,
         axis_grid=AxisGrid(scale * grid.axis, grid.values, grid.indices),
     )
 

@@ -29,6 +29,7 @@ from lightcone import (
 )
 from lightcone import recover
 from lightcone.boost import apply
+from lightcone.minkowski import CausalClass, classify
 
 M4 = Metric(4, 1.0)
 
@@ -92,18 +93,25 @@ def test_collinearity_catches_cubing():
 
 
 def test_collinearity_rejects_degenerate_marker():
+    # a marker's domain fact is checked once, when the sample is built
     x = np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0], [2.0, 0, 0, 0]])
-    s = SampleSet(metric=M4, x=np.vstack([x, np.eye(4)[1:]]), y=np.vstack([x, np.eye(4)[1:]]),
-                  collinear=[(0, 1, 2)])
-    with pytest.raises(ValueError, match="degenerate"):
-        check_collinearity(s)
+    x = np.vstack([x, np.eye(4)[1:]])
+    with pytest.raises(ValueError, match=r"degenerate collinear marker \(0, 1, 2\)"):
+        SampleSet(metric=M4, x=x, y=x, collinear=[(0, 1, 2)])
 
 
 def test_collinearity_rejects_noncollinear_marker():
     x = np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0], [0.0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValueError, match=r"\(0, 1, 2\) is not collinear in the domain"):
+        SampleSet(metric=M4, x=x, y=x, collinear=[(0, 1, 2)])
+
+
+def test_collinearity_domain_fact_does_not_follow_the_check_tolerance():
+    # the triple is collinear to 1e-9 in the domain; the check's tol reaches the image only
+    x = np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0], [2.0, 1e-10, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     s = SampleSet(metric=M4, x=x, y=x, collinear=[(0, 1, 2)])
-    with pytest.raises(ValueError, match="not collinear"):
-        check_collinearity(s)
+    assert check_collinearity(s, tol=0.0).violations == 1
+    assert check_collinearity(s).violations == 0
 
 
 def _parallel_segments_sample(f):
@@ -135,9 +143,21 @@ def test_parallelism_catches_quadratic_shear():
 
 
 def test_parallelism_rejects_collapsed_image():
-    s = _parallel_segments_sample(lambda p: np.zeros(4))
-    with pytest.raises(ValueError, match="zero-length"):
-        check_parallelism(s)
+    # a collapsed image segment has no direction: a violation with residual 1, as for
+    # a collapsed collinear image
+    res = check_parallelism(_parallel_segments_sample(lambda p: np.zeros(4)))
+    assert (res.checked, res.violations, res.worst_residual) == (1, 1, 1.0)
+
+
+@pytest.mark.parametrize("marker, message", [
+    ((0, 0, 2, 3), r"degenerate parallel marker \(0, 0, 2, 3\)"),
+    ((0, 1, 3, 3), r"degenerate parallel marker \(0, 1, 3, 3\)"),
+    ((0, 1, 2, 4), r"\(0, 1, 2, 4\) is not parallel in the domain"),
+])
+def test_parallelism_marker_must_hold_in_the_domain(marker, message):
+    s = _parallel_segments_sample(lambda p: p)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(s, parallel=[marker])
 
 
 # ---------------------------------------------------- affine fit
@@ -296,12 +316,15 @@ def _regridded(s, **fields):
 
 
 def test_field_map_requires_grid_many():
+    # the grid's facts are checked once, when the sample is built
     axis = np.array([1.0, 0.0, 0.0, 0.0])
     s = _axis_sample(lambda p: p, axis, (0, 1))
     with pytest.raises(ValueError, match="0 and 1"):
-        induced_field_map_check(_regridded(s, values=(0.5, 2.0)))
+        _regridded(s, values=(0.5, 2.0))
     with pytest.raises(ValueError, match="row 2 does not hold the grid point 7.0"):
-        induced_field_map_check(_regridded(s, values=(0.0, 1.0, 7.0), indices=(0, 1, 2)))
+        _regridded(s, values=(0.0, 1.0, 7.0), indices=(0, 1, 2))
+    with pytest.raises(ValueError, match="no axis grid"):
+        induced_field_map_check(dataclasses.replace(s, axis_grid=None))
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -317,19 +340,21 @@ def test_field_map_requires_grid_many():
     ({"values": (0.0, 1.0, math.nan)}, "row 2 does not hold the grid point nan"),
 ])
 def test_field_map_refuses_each_grid_fault(fields, message):
-    # the rows the grid names must hold values[k] * axis: no search, no overflow
+    # the rows the grid names must hold values[k] * axis: no search, no overflow; the
+    # sample is refused when it is built, so the field-map check never sees the fault
     s = _axis_sample(lambda p: 2.0 * p, np.array([1.0, 0.5, -0.25, 0.75]), (0, 1, 2))
     assert induced_field_map_check(s).line_preserved
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
-            induced_field_map_check(_regridded(s, **fields))
+            _regridded(s, **fields)
 
 
 def test_recover_refuses_a_grid_fault():
+    # a generated sample whose grid names its rows in reverse cannot be built
     s, _ = lorentz_set()
     with pytest.raises(ValueError, match="does not hold"):
-        recover_lorentz(_regridded(s, indices=s.axis_grid.indices[::-1]))
+        _regridded(s, indices=s.axis_grid.indices[::-1])
 
 
 # ---------------------------------------------------- end-to-end properties
@@ -403,6 +428,20 @@ def test_noise_degrades_monotonically():
 def test_sampleset_validates_markers():
     with pytest.raises(ValueError, match="out of range"):
         SampleSet(metric=M4, x=np.eye(4), y=np.eye(4), collinear=[(0, 1, 99)])
+    with pytest.raises(ValueError, match="marker index -1 out of range"):
+        SampleSet(metric=M4, x=np.eye(4), y=np.eye(4), parallel=[(0, 1, 2, -1)])
+    grid = AxisGrid(axis=np.eye(4)[0], values=(0.0, 1.0), indices=(0, 4))
+    with pytest.raises(ValueError, match="marker index 4 out of range"):
+        SampleSet(metric=M4, x=np.eye(4), y=np.eye(4), axis_grid=grid)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_recover_refuses_a_bad_fit_tolerance(monkeypatch, tol):
+    # refused before any check runs
+    s, _ = lorentz_set()
+    monkeypatch.setattr(recover, "check_cone_preservation", None)
+    with pytest.raises(ValueError, match=f"fit tolerance must be finite and >= 0, got {tol}"):
+        recover_lorentz(s, tol=tol)
 
 
 # ------------------------------------------- cone check against a pair loop
@@ -651,12 +690,12 @@ def test_cone_check_memory_is_row_blocked_at_ten_thousand():
 
 
 def test_single_cone_audit_counts_counterexamples():
-    # stretching the image time leg of one marked null pair breaks that pair
+    # stretching the image time leg of one generated null pair breaks that pair
     # alone, far outside the band; the vertex row is clean, so the one
     # violating pair is a counterexample
     for c in (0.1, 1.0, 343.0, 2.99792458e8):
         s, _ = make_samples(GenerateConfig(kind="lorentz", c=c, v=0.6 * c, num_samples=60, seed=0))
-        assert (1, 32) in s.null_pairs
+        assert classify(s.x[1], s.x[32], s.metric) is CausalClass.LIGHTLIKE
         s.y[32, -1] = s.y[1, -1] + (s.y[32, -1] - s.y[1, -1]) * (1 + 1e-6)
         rep = recover_lorentz(s)
         assert rep.cone.violations == 1, c

@@ -38,6 +38,9 @@ OverflowError further in), and a map refuses non-finite entries, also where
 (``Metric[c=1e+200]`` and ``[c=1e-200]``; it accepted them, and ``c ** 2``
 raised OverflowError further in), and ``boost.apply`` gives a non-finite event
 the event check's message (``apply[nan]`` returned NaN, ``[+inf]`` warned).
+``recover_lorentz`` refuses a fit tolerance outside [0, inf) before any check
+runs (``[tol=nan]`` and ``[tol=-1.0]`` refused the map with a NaN or negative
+threshold and no reason, ``[tol=inf]`` accepted any residual).
 
 The Python float forms that replaced numpy calls on 3-vectors and a few
 ratios (``cones._cross``, ``boost._median``) must equal those calls bit
@@ -53,7 +56,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lightcone import boost, cones, minkowski, radar
+from lightcone import boost, cones, minkowski, radar, recover
 from lightcone.boost import AffineLorentzMap, BoostParams, NotConformalError
 from lightcone.cones import Line, Plane
 from lightcone.minkowski import CausalClass, Metric
@@ -269,6 +272,9 @@ def _rows():
         rows[f"radar.yzprime[v={v},c={c}]"] = (radar.yzprime, (1.0, v, c))
     for dx in (0.0, -1.0, math.nan, math.inf):
         rows[f"radar.RadarScenario[delta_xbar={dx}]"] = (radar.RadarScenario, (0.5, 1.0, dx))
+    identity = recover.SampleSet(M4, np.eye(5, 4), np.eye(5, 4))
+    for tol in (math.nan, -1.0, math.inf):
+        rows[f"recover.recover_lorentz[tol={tol}]"] = (recover.recover_lorentz, (identity, tol))
     return rows
 
 
@@ -816,6 +822,12 @@ EXPECTED = {
         ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
     'radar.yzprime[v=nan,c=2.0]':
         ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
+    'recover.recover_lorentz[tol=-1.0]':
+        ('raises', 'ValueError', 'fit tolerance must be finite and >= 0, got -1.0'),
+    'recover.recover_lorentz[tol=inf]':
+        ('raises', 'ValueError', 'fit tolerance must be finite and >= 0, got inf'),
+    'recover.recover_lorentz[tol=nan]':
+        ('raises', 'ValueError', 'fit tolerance must be finite and >= 0, got nan'),
 }
 
 

@@ -19,18 +19,20 @@ def _samples(N: int) -> SampleSet:
     rng = np.random.default_rng(N)
     x, y = (rng.standard_normal((N, 4)) * 10.0 ** rng.integers(-300, 60, (N, 4)) for _ in "xy")
     x.flat[:4] = (-0.0, 5e-324, 1e60, 0.1)[: x.size]
-    if N < 4:
+    if N < 5:
         return SampleSet(Metric(4, 2.5), x, y)
-    grid = AxisGrid(axis=x[0].copy(), values=(0.0, 1.0), indices=(2, 3))
-    return SampleSet(Metric(4, 2.5), x, y, collinear=[(0, 1, 2)], parallel=[(0, 1, 2, 3)],
-                     null_pairs=[(1, 3)], axis_grid=grid)
+    # the markers on rows that hold them: 0, 1 and 2 times x[0] at three random rows
+    i, j, k = rng.choice(np.arange(1, N), 3, replace=False).tolist()
+    x[i], x[j], x[k] = 0.0 * x[0], x[0], 2.0 * x[0]
+    grid = AxisGrid(axis=x[0].copy(), values=(0.0, 1.0, 2.0), indices=(i, j, k))
+    return SampleSet(Metric(4, 2.5), x, y, collinear=[(i, j, k)], parallel=[(i, j, j, k)],
+                     axis_grid=grid)
 
 
 def _payload(s: SampleSet, seed, kind) -> dict:
     # the whole file as one object, its rows as numpy scalars
     markers = {"collinear": [list(t) for t in s.collinear],
-               "parallel": [list(t) for t in s.parallel],
-               "null_pairs": [list(t) for t in s.null_pairs]}
+               "parallel": [list(t) for t in s.parallel]}
     if s.axis_grid is not None:
         g = s.axis_grid
         markers["axis_grid"] = {"axis": list(g.axis), "values": list(g.values),
@@ -53,7 +55,7 @@ def _same(a: SampleSet, b: SampleSet) -> None:
     # bit for bit, signed zeros included
     assert a.metric == b.metric
     assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
-    assert (a.collinear, a.parallel, a.null_pairs) == (b.collinear, b.parallel, b.null_pairs)
+    assert (a.collinear, a.parallel) == (b.collinear, b.parallel)
     assert (a.axis_grid is None) == (b.axis_grid is None)
     if a.axis_grid is not None:
         assert a.axis_grid.axis.tobytes() == b.axis_grid.axis.tobytes()
@@ -100,3 +102,18 @@ def test_indented_layout_still_loads(tmp_path, N):
     _same(a, b)
     _same(a, s)
     assert meta_a == meta_b == {"seed": None, "kind": None}
+
+
+@pytest.mark.parametrize("null_pairs", [[[0, 1], [2, 3]], [[0.5]], "not a list"])
+def test_older_files_with_null_pairs_still_load(tmp_path, null_pairs):
+    # files used to carry null-pair markers, which nothing read: the key is ignored
+    s, _ = make_samples(GenerateConfig(kind="lorentz", num_samples=60, seed=2))
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    save_samples(str(new), s, seed=2, kind="lorentz")
+    payload = json.loads(new.read_text())
+    payload["markers"]["null_pairs"] = null_pairs
+    old.write_text(json.dumps(payload))
+    (a, meta_a), (b, meta_b) = load_samples(str(old)), load_samples(str(new))
+    _same(a, b)
+    _same(a, s)
+    assert meta_a == meta_b
