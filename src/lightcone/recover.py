@@ -53,12 +53,11 @@ class AxisGrid:
 
 @dataclass
 class SampleSet:
-    """Sampled pairs y_i = f(x_i) of an unknown map, with optional markers,
-    each a fact about the domain that the checks test on the image.
-    Construction refuses (ValueError) a collinear triple (i, j, k) with x_i =
-    x_j or x_k off their line, a parallel quadruple (i, j, k, l) whose segments
-    x_i x_j and x_k x_l are zero or not parallel (line distance or sine above
-    GEOMETRY_TOL, in the balanced frame), and an AxisGrid whose facts fail."""
+    """Sampled pairs y_i = f(x_i) of an unknown map, with optional markers: facts
+    about the domain that the checks test on the image.  Construction refuses
+    (ValueError) a collinear triple (i, j, k) with x_i = x_j or x_k off their line,
+    a parallel quadruple (i, j, k, l) whose segments x_i x_j, x_k x_l are zero or not
+    parallel (each beyond GEOMETRY_TOL in the balanced frame), and a broken AxisGrid."""
 
     metric: Metric
     x: np.ndarray
@@ -311,8 +310,7 @@ def _marker_residual(p: np.ndarray, marker: tuple, c: float) -> float | None:
 
 def _image_check(s: SampleSet, markers: list, tol: float) -> MarkerCheck:
     # a collapsed image has no line or direction: the whole side is off it, residual 1
-    violations = 0
-    worst = 0.0
+    violations, worst = 0, 0.0
     for marker in markers:
         residual = _marker_residual(s.y, marker, s.metric.c)
         worst = max(worst, 1.0 if residual is None else residual)
