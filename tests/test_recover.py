@@ -435,6 +435,16 @@ def test_sampleset_validates_markers():
         SampleSet(metric=M4, x=np.eye(4), y=np.eye(4), axis_grid=grid)
 
 
+@pytest.mark.parametrize("kind", ("lorentz", "translation", "cubing", "shear", "noisy-lorentz"))
+@pytest.mark.parametrize("c", (0.1, 1.0, 343.0, 2.99792458e8))
+def test_generated_markers_hold_in_the_domain(kind, c):
+    # make_samples attaches the markers it lays down without checking them; rebuilding
+    # the sample runs every check
+    s, _ = make_samples(GenerateConfig(kind=kind, c=c, v=0.6 * c, seed=0, noise=1e-7))
+    assert s.collinear and s.parallel and s.axis_grid is not None
+    dataclasses.replace(s)
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
 def test_recover_refuses_a_bad_fit_tolerance(monkeypatch, tol):
     # refused before any check runs
