@@ -18,7 +18,8 @@ and the isometry L = M / alpha, any sign being folded into L.
 Maps follow the validate-once rule of :mod:`lightcone.minkowski`: public names
 check (``check_velocity``, the map constructor, tol >= 0), private kernels trust.
 ``boost_x``, ``compose``, ``inverse`` and ``radar.derive_map`` return maps through
-the trusted ``_map``; compose and inverse first refuse an overflowed product.
+the trusted ``_map``; compose and inverse first refuse an overflowed product, and
+apply an overflowed image, each with a ValueError and no numpy warning.
 """
 
 from __future__ import annotations
@@ -165,14 +166,19 @@ def scale_constraint_check(
 def apply(m: AffineLorentzMap, e) -> np.ndarray:
     """Evaluate alpha * L @ e + a."""
     e = _event(e, m)[0]  # as_event's check, which reads only the length m.n
-    return m.alpha * m.L.dot(e) + m.a
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = m.alpha * m.L.dot(e) + m.a
+    if not _finite(image.tolist()):
+        raise ValueError("the image of the event overflows")
+    return image
 
 
 def compose(m1: AffineLorentzMap, m2: AffineLorentzMap) -> AffineLorentzMap:
     """The map applying m2 first, then m1."""
     if m1.n != m2.n:
         raise ValueError(f"dimension mismatch: {m1.n} vs {m2.n}")
-    alpha, L, a = m1.alpha * m2.alpha, m1.L.dot(m2.L), m1.alpha * m1.L.dot(m2.a) + m1.a
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_map refuses an overflow
+        alpha, L, a = m1.alpha * m2.alpha, m1.L.dot(m2.L), m1.alpha * m1.L.dot(m2.a) + m1.a
     _check_map(alpha, L.ravel().tolist() + a.tolist())
     return _map(alpha, L, a)
 
@@ -184,9 +190,9 @@ def inverse(m: AffineLorentzMap) -> AffineLorentzMap:
     except np.linalg.LinAlgError as exc:
         raise ValueError("singular linear part; map is not invertible") from exc
     alpha_inv = 1.0 / m.alpha
-    _check_map(alpha_inv, Linv.ravel().tolist())  # before an inf can meet a 0 in the translation
-    a = -alpha_inv * Linv.dot(m.a)
-    _check_map(alpha_inv, a.tolist())
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_map refuses an overflow
+        a = -alpha_inv * Linv.dot(m.a)
+    _check_map(alpha_inv, Linv.ravel().tolist() + a.tolist())
     return _map(alpha_inv, Linv, a)
 
 
@@ -220,10 +226,17 @@ def is_isometry(L, m: Metric, tol: float = 1e-9) -> bool:
     products forming each entry (evaluated in the metric-balanced frame)."""
     _within(0.0, 0.0, tol)  # refuses tol < 0 before the matrix is checked
     _, G, S, eta1 = _balanced_gram(L, m)
+    return not _off_band(G, S, eta1, 1.0, tol)
+
+
+def _off_band(G: list, S: list, eta1: list, lam: float, tol: float) -> list:
+    # the entrywise conformal test: each |G - lam eta1| out of tol times its scale max(S, |lam|)
+    floor, worst = abs(lam), []
     for g, e, s in zip(G, eta1, S):
-        if not abs(g - e) <= tol * (s if s > 1.0 else 1.0):
-            return False
-    return True
+        d, s = abs(g - lam * e), (s if s > floor else floor)
+        if not d <= tol * s:
+            worst.append(d / s)  # out of the band, so s > 0
+    return worst
 
 
 def decompose_conformal(M, m: Metric, tol: float = 1e-9) -> tuple[float, np.ndarray]:
@@ -237,11 +250,7 @@ def decompose_conformal(M, m: Metric, tol: float = 1e-9) -> tuple[float, np.ndar
     _within(0.0, 0.0, tol)  # refuses tol < 0 before the matrix is checked
     M, G, S, eta1 = _balanced_gram(M, m)
     lam = _median([*G[:-1:m.n + 1], -G[-1]])  # the diagonal of G over that of eta1
-    floor, worst = abs(lam), []  # the scale of each entry is max(S, |lam|): both scale as M^2
-    for g, e, s in zip(G, eta1, S):
-        d, s = abs(g - lam * e), (s if s > floor else floor)
-        if not d <= tol * s:
-            worst.append(d / s)  # out of the band, so s > 0
+    worst = _off_band(G, S, eta1, lam, tol)
     if worst:
         raise NotConformalError("M^T eta M is not proportional to eta (worst relative deviation "
                                 f"{math.nan if any(map(math.isnan, worst)) else max(worst):.3e})")

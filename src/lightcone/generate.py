@@ -3,9 +3,9 @@
 Positive kinds (``lorentz``, ``translation``, ``noisy-lorentz``) come from
 a known affine map whose parameters go into a ground-truth record for
 round-trip tests.  Negative kinds (``cubing``, ``shear``) break the
-cone-preservation hypotheses on purpose; the cubing factory searches for a
-null pair whose image pair is demonstrably non-null and records it in the
-ground truth as ``witness_pair``.
+cone-preservation hypotheses on purpose; the cubing factory records in the
+ground truth, as ``witness_pair``, the first placed null pair whose image pair
+is demonstrably non-null (ValueError if there is none).
 
 Every sample cloud holds null partners of four points, which the pairwise
 cone check tests with every other pair, and carries markers for the
@@ -15,6 +15,10 @@ coordinate is drawn with spread ``SPREAD * min(1, 30 / c)`` so that clouds
 stay numerically informative at any invariant speed: wider would drown the
 small boost entries, narrower would leave the time column of the fit
 under-resolved.
+
+The markers hold by construction, so ``make_samples`` and ``permute_images``
+build their samples, x, y and markers complete, through the trusted constructor
+of :mod:`lightcone.recover`, which skips the checks of ``SampleSet``.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from .boost import BoostParams, boost_x
 from .minkowski import DEFAULT_TOL, CausalClass, Metric, classify
-from .recover import AxisGrid, SampleSet
+from .recover import AxisGrid, SampleSet, _trusted_samples
 
 KINDS = ("lorentz", "translation", "cubing", "shear", "noisy-lorentz")
 
@@ -134,7 +138,8 @@ def _ground_truth_map(cfg: GenerateConfig, rng: np.random.Generator):
 def make_samples(cfg: GenerateConfig) -> tuple[SampleSet, dict]:
     """Build a SampleSet for the configured kind plus its ground-truth
     record (the exact map for affine kinds, the defining formula otherwise).
-    Deterministic for a fixed seed."""
+    Deterministic for a fixed seed.  The points, images and markers are built
+    first, and the sample once, unchecked: its markers hold by construction."""
     rng = np.random.default_rng(cfg.seed)
     metric = Metric(cfg.n, cfg.c)
     x, collinear, parallel, null_partners, axis_grid = _domain_cloud(cfg, rng)
@@ -158,6 +163,7 @@ def make_samples(cfg: GenerateConfig) -> tuple[SampleSet, dict]:
     elif cfg.kind == "cubing":
         y = x ** 3
         truth["formula"] = "y_k = x_k^3"
+        truth["witness_pair"] = list(_nonnull_image_witness(metric, y, null_partners))
     elif cfg.kind == "shear":
         y = x.copy()
         y[:, 0] = y[:, 0] + x[:, 0] ** 2
@@ -165,45 +171,15 @@ def make_samples(cfg: GenerateConfig) -> tuple[SampleSet, dict]:
     else:  # pragma: no cover - guarded by GenerateConfig
         raise ValueError(cfg.kind)
 
-    # the markers hold by construction, so their domain facts go unchecked here: the
-    # check (SampleSet's, for every other caller) would add 40 % to a 50-pair sample
-    samples = SampleSet(metric=metric, x=x, y=y)
-    samples.collinear, samples.parallel, samples.axis_grid = collinear, parallel, axis_grid
-
-    if cfg.kind == "cubing":
-        witness = _ensure_nonnull_image_witness(samples, null_partners, rng)
-        truth["witness_pair"] = list(witness)
-    return samples, truth
+    return _trusted_samples(metric, x, y, tuple(collinear), tuple(parallel), axis_grid), truth
 
 
-def _ensure_nonnull_image_witness(
-    s: SampleSet, null_partners: list, rng: np.random.Generator, tol: float = DEFAULT_TOL
-) -> tuple[int, int]:
-    """Guarantee the sample holds a null pair whose image interval is
-    solidly nonzero; search random null offsets, and append the pair found,
-    if none of the placed ``null_partners`` qualifies."""
-
-    def image_breaks(a: np.ndarray, b: np.ndarray) -> bool:
-        return classify(a, b, s.metric, 100 * tol) is not CausalClass.LIGHTLIKE
-
-    for (i, j) in null_partners:
-        if image_breaks(s.y[i], s.y[j]):
+def _nonnull_image_witness(metric: Metric, y: np.ndarray, null_partners: list) -> tuple[int, int]:
+    """The first placed null pair whose image is not null at 100 * DEFAULT_TOL, or ValueError."""
+    for i, j in null_partners:
+        if classify(y[i], y[j], metric, 100 * DEFAULT_TOL) is not CausalClass.LIGHTLIKE:
             return i, j
-
-    c = s.metric.c
-    for _ in range(200):
-        anchor = rng.uniform(-1.0, 1.0, s.metric.n)
-        u = rng.standard_normal(s.metric.n - 1)
-        u /= np.linalg.norm(u)
-        dt = rng.uniform(0.5, 2.0) / c
-        partner = anchor + np.concatenate([c * dt * u, [dt]])
-        ya, yp = anchor ** 3, partner ** 3
-        if image_breaks(ya, yp):
-            base = len(s.x)
-            s.x = np.vstack([s.x, anchor, partner])
-            s.y = np.vstack([s.y, ya, yp])
-            return base, base + 1
-    raise RuntimeError("could not construct a null pair broken by cubing")
+    raise ValueError("no placed null pair has a non-null image under cubing")
 
 
 def permute_images(s: SampleSet, seed: int = 0) -> SampleSet:
@@ -214,5 +190,4 @@ def permute_images(s: SampleSet, seed: int = 0) -> SampleSet:
     perm = np.arange(n)
     while np.any(perm == np.arange(n)):
         perm = rng.permutation(n)
-    return SampleSet(metric=s.metric, x=s.x.copy(), y=s.y[perm], collinear=list(s.collinear),
-                     parallel=list(s.parallel), axis_grid=s.axis_grid)
+    return _trusted_samples(s.metric, s.x, s.y[perm], s.collinear, s.parallel, s.axis_grid)

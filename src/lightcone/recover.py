@@ -13,7 +13,7 @@ recovered map (alpha, L, a); otherwise it carries the violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -51,10 +51,11 @@ class AxisGrid:
     indices: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleSet:
     """Sampled pairs y_i = f(x_i) of an unknown map, with optional markers: facts
-    about the domain that the checks test on the image.  Construction refuses
+    about the domain that the checks test on the image.  A frozen value holding
+    read-only float copies of x and y and the markers as tuples.  Construction refuses
     (ValueError) a collinear triple (i, j, k) with x_i = x_j or x_k off their line,
     a parallel quadruple (i, j, k, l) whose segments x_i x_j, x_k x_l are zero or not
     parallel (each beyond GEOMETRY_TOL in the balanced frame), and a broken AxisGrid."""
@@ -62,13 +63,15 @@ class SampleSet:
     metric: Metric
     x: np.ndarray
     y: np.ndarray
-    collinear: list[tuple[int, int, int]] = field(default_factory=list)
-    parallel: list[tuple[int, int, int, int]] = field(default_factory=list)
+    collinear: tuple[tuple[int, int, int], ...] = ()
+    parallel: tuple[tuple[int, int, int, int], ...] = ()
     axis_grid: AxisGrid | None = None
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
+        x, y = (np.array(p, dtype=float) for p in (self.x, self.y))
+        x.flags.writeable = y.flags.writeable = False
+        vars(self).update(x=x, y=y, collinear=tuple(map(tuple, self.collinear)),
+                          parallel=tuple(map(tuple, self.parallel)))
         n, c = self.metric.n, self.metric.c
         if self.x.ndim != 2 or self.x.shape[1] != n:
             raise ValueError(f"x has shape {self.x.shape}, expected (N, {n})")
@@ -93,7 +96,7 @@ class SampleSet:
             kind = "collinear" if len(marker) == 3 else "parallel"
             residual = _marker_residual(self.x, marker, c)
             if residual is None:
-                raise ValueError(f"degenerate {kind} marker {marker}: a zero-length segment")
+                raise ValueError(f"degenerate {kind} marker {marker}: a segment too short to measure")
             if residual > GEOMETRY_TOL:
                 raise ValueError(f"{kind} marker {marker} is not {kind} in the domain")
         if grid is None:
@@ -118,7 +121,19 @@ class SampleSet:
         return len(self.x)
 
 
-@dataclass
+def _trusted_samples(metric: Metric, x: np.ndarray, y: np.ndarray, collinear: tuple,
+                     parallel: tuple, axis_grid: AxisGrid | None) -> SampleSet:
+    # the unchecked constructor, for float arrays of matching shape that the caller built
+    # and owns (made read-only, not copied) and markers that hold by construction; their
+    # checks would add about half to an N = 50 make_samples
+    s = object.__new__(SampleSet)
+    x.flags.writeable = y.flags.writeable = False
+    vars(s).update(metric=metric, x=x, y=y, collinear=collinear, parallel=parallel,
+                   axis_grid=axis_grid)
+    return s
+
+
+@dataclass(frozen=True)
 class ConeCheck:
     """Pairwise zero-interval preservation over the pairs i < j:
     ``violations`` counts pairs null on exactly one side, pairs inside 10x
@@ -135,14 +150,14 @@ class ConeCheck:
     bijectivity_violations: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class MarkerCheck:
     checked: int
     violations: int
     worst_residual: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class FieldMapCheck:
     """Errors of the scalar map zeta induced on a line through the origin:
     zeta(g) is the coordinate of the image of g * axis along the image
@@ -156,7 +171,7 @@ class FieldMapCheck:
     line_preserved: bool
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitReport:
     cone: ConeCheck
     collinearity: MarkerCheck
@@ -172,12 +187,11 @@ class FitReport:
 
     @property
     def total_violations(self) -> int:
-        return (
-            self.cone.violations
-            + self.cone.bijectivity_violations
-            + self.collinearity.violations
-            + self.parallelism.violations
-        )
+        return _total_violations(self.cone, self.collinearity, self.parallelism)
+
+
+def _total_violations(cone: ConeCheck, coll: MarkerCheck, par: MarkerCheck) -> int:
+    return cone.violations + cone.bijectivity_violations + coll.violations + par.violations
 
 
 def _centred(p: np.ndarray, c: float):
@@ -299,16 +313,16 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
 
 def _marker_residual(p: np.ndarray, marker: tuple, c: float) -> float | None:
     # a triple's line distance, or the sine of a quadruple's two segments, in the
-    # balanced frame; None where the line or a segment has zero length
+    # balanced frame; None where the line or a segment has zero squared length in floats
     q = _frame(p[list(marker)], c)
     u = q[1] - q[0]
     if len(marker) == 3:
-        return _line_distance(q[2] - q[0], u) if u.any() else None
+        return _line_distance(q[2] - q[0], u) if u.dot(u) else None
     w = q[3] - q[2]
-    return _sine(u, w) if u.any() and w.any() else None
+    return _sine(u, w) if u.dot(u) and w.dot(w) else None
 
 
-def _image_check(s: SampleSet, markers: list, tol: float) -> MarkerCheck:
+def _image_check(s: SampleSet, markers: tuple, tol: float) -> MarkerCheck:
     # a collapsed image has no line or direction: the whole side is off it, residual 1
     violations, worst = 0, 0.0
     for marker in markers:
@@ -459,19 +473,19 @@ def recover_lorentz(
     if s.axis_grid is not None:
         field_map = induced_field_map_check(s, geometry_tol)
 
-    report = FitReport(
+    recovered = None
+    if failure is None and _total_violations(cone, coll, par) == 0 and max_residual <= threshold:
+        recovered = AffineLorentzMap(alpha, L, a)
+    return FitReport(
         cone=cone,
         collinearity=coll,
         parallelism=par,
         max_residual=max_residual,
         fit_threshold=threshold,
-        recovered=None,
+        recovered=recovered,
         failure=failure,
         single_cone_vertex=0,
         single_cone_counterexamples=counterexamples,
         field_map=field_map,
         num_samples=len(s),
     )
-    if failure is None and report.total_violations == 0 and max_residual <= threshold:
-        report.recovered = AffineLorentzMap(alpha, L, a)
-    return report

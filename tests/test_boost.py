@@ -152,6 +152,17 @@ def test_inverse_examples():
         inverse(singular)
 
 
+def test_overflowing_products_are_refused_without_a_warning():
+    # the suite turns RuntimeWarning into an error, so numpy's overflow warning would fail here
+    big = AffineLorentzMap(1.0, 1e200 * np.eye(4), np.zeros(4))
+    with pytest.raises(ValueError, match="map has non-finite entries"):
+        compose(big, big)
+    with pytest.raises(ValueError, match="map has non-finite entries"):
+        inverse(AffineLorentzMap(1e-300, np.eye(4), np.full(4, 1e300)))
+    with pytest.raises(ValueError, match="the image of the event overflows"):
+        apply(AffineLorentzMap(1e300, np.eye(4), np.zeros(4)), [1e10, 0, 0, 0])
+
+
 def test_is_isometry_examples():
     assert is_isometry(np.eye(4), M4)
     assert is_isometry(boost_x(BoostParams(0.6, 1.0)).L, M4)

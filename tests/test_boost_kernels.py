@@ -7,10 +7,11 @@ they, ``compose`` and ``inverse`` return their maps through the trusted
 constructor ``boost._map``.  ``is_isometry`` and ``decompose_conformal`` test
 their entries in one loop.  G and S stay ``ndarray.dot`` products.  So every
 map, boolean, factor and refusal message is the old one bit for bit; the old
-compositions are kept here as the reference.  Two outcomes change on purpose,
+compositions are kept here as the reference.  Three outcomes change on purpose,
 and the reference says where: a map with a non-finite entry is refused, also
-when ``compose`` or ``inverse`` overflows, and a velocity check refuses an
-invariant speed whose square is not a normal float.
+when ``compose`` or ``inverse`` overflows; ``apply`` refuses an image that
+overflows; and a velocity check refuses an invariant speed whose square is not
+a normal float.
 """
 
 import math
@@ -75,7 +76,11 @@ def _old_inverse(m):
 
 
 def _old_apply(m, e):
-    return m.alpha * (m.L @ e) + m.a
+    # the parent's product, then the refusal of an image that overflows this change adds
+    image = m.alpha * (m.L @ e) + m.a
+    if not np.all(np.isfinite(image)):
+        raise ValueError("the image of the event overflows")
+    return image
 
 
 def _old_gram(M, m):

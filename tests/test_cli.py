@@ -234,6 +234,18 @@ def _edited(*keys, value):
     return mutate
 
 
+def _scaled(k):
+    # the valid file with every coordinate and the axis-grid axis times k
+    def mutate(text):
+        payload = json.loads(text)
+        for pair in payload["pairs"]:
+            pair["x"], pair["y"] = ([k * v for v in pair[key]] for key in "xy")
+        grid = payload["markers"]["axis_grid"]
+        grid["axis"] = [k * v for v in grid["axis"]]
+        return json.dumps(payload).encode()
+    return mutate
+
+
 FILE_FAULTS = {
     "top-level-list": lambda text: f"[{text}]".encode(),
     "non-utf-8": lambda text: text.encode().replace(b'"lorentz"', b'"lor\xffentz"'),
@@ -254,6 +266,8 @@ FILE_FAULTS = {
     "parallel-index-changed": _edited("markers", "parallel", 0, 3, value=lambda i: i + 1),
     "grid-index-wrong-row": _edited("markers", "axis_grid", "indices", 0, value=lambda i: i + 1),
     "grid-axis-huge": _edited("markers", "axis_grid", "axis", 0, value=lambda v: 1e308),
+    # every coordinate and the grid's axis times 1e-170: a segment's squared length underflows
+    "coordinates-tiny": _scaled(1e-170),
 }
 
 

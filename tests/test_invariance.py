@@ -85,8 +85,10 @@ def _samples(kind, c, seed, num_samples=40):
     if kind == "permuted":
         return permute_images(s, seed)
     if kind == "time-perturbed":
-        t = s.y[:, -1]
+        y = s.y.copy()
+        t = y[:, -1]
         t += 0.01 * np.ptp(t) * np.random.default_rng(seed).standard_normal(len(t))
+        return dataclasses.replace(s, y=y)
     return s
 
 

@@ -82,7 +82,7 @@ def test_cone_check_catches_cubing_on_null_pair():
 def test_collinearity_clean_for_affine():
     x = np.array([[0.0, 0, 0, 0], [1.0, 2, 0, 1], [2.0, 4, 0, 2], [3.0, 1, 1, 0], [0, 0, 1, 0]])
     s = affine_samples(x, 2.0, boost_x(BoostParams(0.3)).L, np.array([1.0, 2, 3, 4]))
-    s.collinear = [(0, 1, 2)]
+    s = dataclasses.replace(s, collinear=[(0, 1, 2)])
     assert check_collinearity(s).violations == 0
 
 
@@ -438,11 +438,29 @@ def test_sampleset_validates_markers():
 @pytest.mark.parametrize("kind", ("lorentz", "translation", "cubing", "shear", "noisy-lorentz"))
 @pytest.mark.parametrize("c", (0.1, 1.0, 343.0, 2.99792458e8))
 def test_generated_markers_hold_in_the_domain(kind, c):
-    # make_samples attaches the markers it lays down without checking them; rebuilding
-    # the sample runs every check
+    # make_samples and permute_images build read-only samples without checking the
+    # markers; rebuilding a sample runs every check
     s, _ = make_samples(GenerateConfig(kind=kind, c=c, v=0.6 * c, seed=0, noise=1e-7))
     assert s.collinear and s.parallel and s.axis_grid is not None
-    dataclasses.replace(s)
+    for sample in (s, permute_images(s)):
+        dataclasses.replace(sample)
+        assert type(sample.collinear) is type(sample.parallel) is tuple
+        assert not (sample.x.flags.writeable or sample.y.flags.writeable)
+
+
+def test_sampleset_is_a_value():
+    x = np.vstack([np.eye(4), [[2.0, 0, 0, 0]]])
+    s = SampleSet(metric=M4, x=x, y=x, collinear=[[0, 4, 0]])
+    assert s.collinear == ((0, 4, 0),) and s.parallel == ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.collinear = [(0, 1, 2)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.x = x
+    for p in (s.x, s.y):
+        with pytest.raises(ValueError, match="read-only"):
+            p[0, 0] = 5.0
+    x[0, 0] = 5.0  # the caller's array stays writable, and the sample keeps its own copy
+    assert s.x[0, 0] == s.y[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
@@ -490,9 +508,8 @@ def _reference_cone_check(s, tol, with_excess=False):
 
 def _repeat_rows(s):
     # an exactly repeated pair, and a distinct point with a repeated image
-    s.x = np.vstack([s.x, s.x[0], s.x[1] + s.x[2]])
-    s.y = np.vstack([s.y, s.y[0], s.y[5]])
-    return s
+    return dataclasses.replace(s, x=np.vstack([s.x, s.x[0], s.x[1] + s.x[2]]),
+                               y=np.vstack([s.y, s.y[0], s.y[5]]))
 
 
 def _reference_corpus():
@@ -663,8 +680,8 @@ def test_cone_check_worst_pair_tie_across_blocks():
     first = check_cone_preservation(s)
     assert first.worst_pair is not None and first.worst_pair[0] < recover._CONE_BLOCK <= 80
     i, j = first.worst_pair
-    s.x = np.vstack([s.x, s.x[i], s.x[j]])
-    s.y = np.vstack([s.y, s.y[i], s.y[j]])
+    s = dataclasses.replace(s, x=np.vstack([s.x, s.x[i], s.x[j]]),
+                            y=np.vstack([s.y, s.y[i], s.y[j]]))
     res = check_cone_preservation(s)
     *_, worst_pair = _reference_cone_check(s, recover.GEOMETRY_TOL)
     assert res.worst_pair == worst_pair == (i, j)
@@ -706,8 +723,9 @@ def test_single_cone_audit_counts_counterexamples():
     for c in (0.1, 1.0, 343.0, 2.99792458e8):
         s, _ = make_samples(GenerateConfig(kind="lorentz", c=c, v=0.6 * c, num_samples=60, seed=0))
         assert classify(s.x[1], s.x[32], s.metric) is CausalClass.LIGHTLIKE
-        s.y[32, -1] = s.y[1, -1] + (s.y[32, -1] - s.y[1, -1]) * (1 + 1e-6)
-        rep = recover_lorentz(s)
+        y = s.y.copy()
+        y[32, -1] = y[1, -1] + (y[32, -1] - y[1, -1]) * (1 + 1e-6)
+        rep = recover_lorentz(dataclasses.replace(s, y=y))
         assert rep.cone.violations == 1, c
         assert rep.cone.worst_pair == (1, 32), c
         assert rep.single_cone_vertex == 0
