@@ -18,7 +18,7 @@ under-resolved.
 
 The markers hold by construction, so ``make_samples`` and ``permute_images``
 build their samples, x, y and markers complete, through the trusted constructor
-of :mod:`lightcone.recover`, which skips the checks of ``SampleSet``.
+of :mod:`lightcone.recover`, which skips only the marker checks of ``SampleSet``.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ def make_samples(cfg: GenerateConfig) -> tuple[SampleSet, dict]:
     """Build a SampleSet for the configured kind plus its ground-truth
     record (the exact map for affine kinds, the defining formula otherwise).
     Deterministic for a fixed seed.  The points, images and markers are built
-    first, and the sample once, unchecked: its markers hold by construction."""
+    first, and the sample once, its markers unchecked: they hold by construction."""
     rng = np.random.default_rng(cfg.seed)
     metric = Metric(cfg.n, cfg.c)
     x, collinear, parallel, null_partners, axis_grid = _domain_cloud(cfg, rng)

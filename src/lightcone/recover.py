@@ -13,7 +13,7 @@ recovered map (alpha, L, a); otherwise it carries the violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -54,8 +54,8 @@ class AxisGrid:
 @dataclass(frozen=True)
 class SampleSet:
     """Sampled pairs y_i = f(x_i) of an unknown map, with optional markers: facts
-    about the domain that the checks test on the image.  A frozen value holding
-    read-only float copies of x and y and the markers as tuples.  Construction refuses
+    about the domain that the checks test on the image.  A frozen value holding read-only
+    float copies of x, y and the grid's axis, and the markers as tuples.  Construction refuses
     (ValueError) a collinear triple (i, j, k) with x_i = x_j or x_k off their line,
     a parallel quadruple (i, j, k, l) whose segments x_i x_j, x_k x_l are zero or not
     parallel (each beyond GEOMETRY_TOL in the balanced frame), and a broken AxisGrid."""
@@ -101,8 +101,10 @@ class SampleSet:
                 raise ValueError(f"{kind} marker {marker} is not {kind} in the domain")
         if grid is None:
             return
-        # the grid's facts in the balanced frame, in Python floats
-        values, axis = [float(g) for g in grid.values], np.asarray(grid.axis, dtype=float)
+        # the grid's facts in the balanced frame, in Python floats, and a read-only axis
+        values, axis = [float(g) for g in grid.values], np.array(grid.axis, dtype=float)
+        axis.flags.writeable = False
+        vars(self)["axis_grid"] = replace(grid, axis=axis)
         axis = _frame(axis.tolist(), c) if axis.shape == (n,) else [0.0]
         norm = math.hypot(*axis)
         if not 0 < norm < math.inf:
@@ -123,13 +125,12 @@ class SampleSet:
 
 def _trusted_samples(metric: Metric, x: np.ndarray, y: np.ndarray, collinear: tuple,
                      parallel: tuple, axis_grid: AxisGrid | None) -> SampleSet:
-    # the unchecked constructor, for float arrays of matching shape that the caller built
-    # and owns (made read-only, not copied) and markers that hold by construction; their
-    # checks would add about half to an N = 50 make_samples
-    s = object.__new__(SampleSet)
-    x.flags.writeable = y.flags.writeable = False
-    vars(s).update(metric=metric, x=x, y=y, collinear=collinear, parallel=parallel,
-                   axis_grid=axis_grid)
+    # a sample whose points are checked and whose markers hold by construction: checking
+    # them would add about half to an N = 50 make_samples
+    s = SampleSet(metric, x, y)
+    if axis_grid is not None:
+        axis_grid.axis.flags.writeable = False
+    vars(s).update(collinear=collinear, parallel=parallel, axis_grid=axis_grid)
     return s
 
 

@@ -256,8 +256,9 @@ def test_speeds_with_a_normal_square_keep_their_bits(e, beta):
 
 
 def test_inverse_refuses_an_overflow_without_a_warning():
-    # the inverse's entries are checked before its translation, where an inf would
-    # meet a 0; the suite turns numpy's RuntimeWarning into an error
+    # the translation is formed with numpy's overflow and invalid warnings off, and
+    # _check_map then refuses L^-1 and a together; the suite turns numpy's
+    # RuntimeWarning into an error
     m = AffineLorentzMap(1.0, np.diag([1.0, 1.0, 1.0, 1e-320]), np.zeros(4))
     with pytest.raises(ValueError, match="map has non-finite entries"):
         boost.inverse(m)

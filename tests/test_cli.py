@@ -140,6 +140,20 @@ def test_verify_empty_sample_file_exit_two(tmp_path):
     assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--kind", "lorentz", "--alpha", "nan"), "samples contain non-finite values"),
+    (("--kind", "lorentz", "--a", "nan,0,0,0"), "samples contain non-finite values"),
+    (("--kind", "noisy-lorentz", "--noise", "inf"), "samples contain non-finite values"),
+    (("--kind", "lorentz", "--alpha", "1e300"), "samples overflow"),
+])
+def test_generate_non_finite_or_overflowing_parameters_exit_two(tmp_path, flags, message):
+    out = tmp_path / "s.json"
+    r = run_cli("generate", *flags, "--out", out)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith(f"error: {message}") and "Traceback" not in r.stderr, r.stderr
+    assert not out.exists()
+
+
 def test_boost_prints_matrix():
     r = run_cli("boost", "--v", 0.6, "--c", 1)
     assert r.returncode == 0

@@ -445,13 +445,16 @@ def test_generated_markers_hold_in_the_domain(kind, c):
     for sample in (s, permute_images(s)):
         dataclasses.replace(sample)
         assert type(sample.collinear) is type(sample.parallel) is tuple
-        assert not (sample.x.flags.writeable or sample.y.flags.writeable)
+        assert not (sample.x.flags.writeable or sample.y.flags.writeable
+                    or sample.axis_grid.axis.flags.writeable)
 
 
 def test_sampleset_is_a_value():
     x = np.vstack([np.eye(4), [[2.0, 0, 0, 0]]])
-    s = SampleSet(metric=M4, x=x, y=x, collinear=[[0, 4, 0]])
-    assert s.collinear == ((0, 4, 0),) and s.parallel == ()
+    x[1], axis = 0.0, x[0].copy()
+    grid = AxisGrid(axis=axis, values=(1.0, 2.0, 0.0), indices=(0, 4, 1))
+    s = SampleSet(metric=M4, x=x, y=x, collinear=[[1, 0, 4]], axis_grid=grid)
+    assert s.collinear == ((1, 0, 4),) and s.parallel == ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.collinear = [(0, 1, 2)]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -459,8 +462,24 @@ def test_sampleset_is_a_value():
     for p in (s.x, s.y):
         with pytest.raises(ValueError, match="read-only"):
             p[0, 0] = 5.0
-    x[0, 0] = 5.0  # the caller's array stays writable, and the sample keeps its own copy
-    assert s.x[0, 0] == s.y[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        s.axis_grid.axis[0] = 1e308
+    # the caller's arrays stay writable, and the sample keeps its own copies
+    x[0, 0] = axis[0] = 5.0
+    assert s.x[0, 0] == s.y[0, 0] == s.axis_grid.axis[0] == 1.0
+
+
+@pytest.mark.parametrize("kind, field, value, error", [
+    ("lorentz", "alpha", math.nan, ValueError),
+    ("lorentz", "translation", (math.nan, 0.0, 0.0, 0.0), ValueError),
+    ("noisy-lorentz", "noise", math.inf, ValueError),
+    ("lorentz", "alpha", 1e300, OverflowError),
+])
+def test_generated_points_are_checked(kind, field, value, error):
+    # the generator skips only the marker checks: its points are checked as SampleSet's
+    message = "samples overflow" if error is OverflowError else "samples contain non-finite values"
+    with pytest.raises(error, match=message):
+        make_samples(GenerateConfig(kind=kind, seed=0, **{field: value}))
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
