@@ -145,6 +145,9 @@ def test_verify_empty_sample_file_exit_two(tmp_path):
     (("--kind", "lorentz", "--a", "nan,0,0,0"), "samples contain non-finite values"),
     (("--kind", "noisy-lorentz", "--noise", "inf"), "samples contain non-finite values"),
     (("--kind", "lorentz", "--alpha", "1e300"), "samples overflow"),
+    # images that overflow to inf are refused without numpy's overflow warning
+    (("--kind", "lorentz", "--alpha", "1e308"), "samples contain non-finite values"),
+    (("--kind", "noisy-lorentz", "--noise", "1e308"), "samples contain non-finite values"),
 ])
 def test_generate_non_finite_or_overflowing_parameters_exit_two(tmp_path, flags, message):
     out = tmp_path / "s.json"

@@ -21,9 +21,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lightcone import Metric
 from lightcone.generate import KINDS, GenerateConfig, make_samples, permute_images
+from lightcone.recover import SampleSet
 from lightcone.sampleio import save_samples, save_truth
 
 SPEEDS = (0.1, 1.0, 343.0, 2.99792458e8)
@@ -71,6 +74,14 @@ def test_generated_files_are_byte_identical(cfg, permute, recorded, tmp_path, re
 
 def test_every_recorded_case_is_run(recorded):
     assert sorted(recorded) == sorted(p.id for p in CASES)
+
+
+def test_permute_images_refuses_a_single_pair():
+    one = SampleSet(Metric(4, 1.0), np.zeros((1, 4)), np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="a single pair has no derangement"):
+        permute_images(one)
+    empty = SampleSet(Metric(4, 1.0), np.zeros((0, 4)), np.zeros((0, 4)))
+    assert len(permute_images(empty)) == 0
 
 
 if __name__ == "__main__":
