@@ -76,6 +76,10 @@ class GenerateConfig:
                              f"marker points; need at least {floor}")
         if self.noise < 0:
             raise ValueError("noise level must be >= 0")
+        if self.noise != 0 and self.kind != "noisy-lorentz":
+            raise ValueError(f"{self.kind} takes no noise; only noisy-lorentz does")
+        if self.translation is not None and self.kind in ("cubing", "shear"):
+            raise ValueError(f"{self.kind} is not affine and takes no translation")
         if self.kind == "lorentz" and self.n != 4:
             raise ValueError("boost ground truths are four-dimensional")
 

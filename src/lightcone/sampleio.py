@@ -1,20 +1,22 @@
 """JSON formats for sample sets, ground-truth sidecars, and fit reports.
 
 Files carry the metric (n and the invariant speed c) explicitly in a
-header so the convention always travels with the data.  Numbers are
-written through Python's shortest round-trip float repr, so reloading
-reproduces the exact binary values, and writing is byte-deterministic:
-every file is ``json.dumps(payload, sort_keys=True)`` with json's default
-separators, on one line with a trailing newline.  ``python -m json.tool
-FILE`` shows one indented.  Files in the older ``indent=2`` layout load
-as they did.
+header so the convention always travels with the data.  One rule, ``_json``,
+makes every record JSON: a dataclass becomes an object of its fields, arrays
+and tuples become lists, and a non-finite number becomes null, so every file
+is strict JSON (written with ``allow_nan=False``).  Numbers are written through
+Python's shortest round-trip float repr, so reloading reproduces the exact
+binary values, and writing is byte-deterministic: every file is
+``json.dumps(payload, sort_keys=True)`` with json's default separators, on one
+line with a trailing newline.  ``python -m json.tool FILE`` shows one
+indented.  Files in the older ``indent=2`` layout load as they did.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import fields, is_dataclass
 from itertools import chain
 
 import numpy as np
@@ -39,40 +41,45 @@ class SampleFormatError(ValueError):
 _BLOCK = 64
 
 
+def _json(value):
+    """The JSON value of a record: a dataclass is an object of its fields, a tuple,
+    list or array a list, a NaN or an infinity null, and anything else itself."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
+    if is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
 def _dump(path: str, payload: dict) -> None:
     # json.dumps, not json.dump: only the one-shot call takes json's C encoder
-    text = json.dumps(payload, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
 
 def save_samples(path: str, s: SampleSet, seed=None, kind=None) -> None:
-    markers: dict = {
-        "collinear": [list(t) for t in s.collinear],
-        "parallel": [list(t) for t in s.parallel],
-    }
+    markers = {"collinear": s.collinear, "parallel": s.parallel}
     if s.axis_grid is not None:
-        markers["axis_grid"] = {
-            "axis": list(s.axis_grid.axis),
-            "values": list(s.axis_grid.values),
-            "indices": list(s.axis_grid.indices),
-        }
-    payload = {
-        "format": FORMAT,
-        "tool": f"lightcone {__version__}",
-        "metric": {"n": s.metric.n, "c": s.metric.c},
-        "seed": seed,
-        "kind": kind,
-        "markers": markers,
-    }
+        markers["axis_grid"] = s.axis_grid
+    payload = _json({"format": FORMAT, "tool": f"lightcone {__version__}", "metric": s.metric,
+                     "seed": seed, "kind": kind, "markers": markers})
     # the bytes of _dump with "pairs" in place, its rows encoded a block at a time
-    head = json.dumps({k: v for k, v in payload.items() if k < "pairs"}, sort_keys=True)
-    tail = json.dumps({k: v for k, v in payload.items() if k > "pairs"}, sort_keys=True)
+    head = json.dumps({k: v for k, v in payload.items() if k < "pairs"},
+                      sort_keys=True, allow_nan=False)
+    tail = json.dumps({k: v for k, v in payload.items() if k > "pairs"},
+                      sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(head[:-1] + ', "pairs": [')
         for i in range(0, len(s.x), _BLOCK):
             rows = zip(s.x[i:i + _BLOCK].tolist(), s.y[i:i + _BLOCK].tolist())
-            block = json.dumps([{"x": x, "y": y} for x, y in rows])
+            block = json.dumps([{"x": x, "y": y} for x, y in rows], allow_nan=False)
             fh.write((", " if i else "") + block[1:-1])
         fh.write("], " + tail[1:] + "\n")
 
@@ -142,7 +149,7 @@ def load_samples(path: str) -> tuple[SampleSet, dict]:
 
 
 def save_truth(path: str, truth: dict) -> None:
-    _dump(path, {"format": "lightcone-truth-v1", "tool": f"lightcone {__version__}", **truth})
+    _dump(path, _json({"format": "lightcone-truth-v1", "tool": f"lightcone {__version__}", **truth}))
 
 
 def load_truth(path: str) -> dict:
@@ -150,50 +157,16 @@ def load_truth(path: str) -> dict:
         return json.load(fh)
 
 
-def _clean(value):
-    # JSON has no NaN/Inf; map them to null
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def map_to_dict(m: AffineLorentzMap) -> dict:
-    return {"alpha": m.alpha, "L": m.L.tolist(), "a": m.a.tolist()}
-
-
 def map_from_dict(d: dict) -> AffineLorentzMap:
     return AffineLorentzMap(float(d["alpha"]), np.asarray(d["L"]), np.asarray(d["a"]))
 
 
 def report_to_dict(report: FitReport, s: SampleSet, input_path=None) -> dict:
-    body = {
-        "cone_preservation": asdict(report.cone),
-        "collinearity": asdict(report.collinearity),
-        "parallelism": asdict(report.parallelism),
-        "max_residual": _clean(report.max_residual),
-        "fit_threshold": report.fit_threshold,
-        "total_violations": report.total_violations,
-        "failure": report.failure,
-        "single_cone_vertex": report.single_cone_vertex,
-        "single_cone_counterexamples": report.single_cone_counterexamples,
-        "num_samples": report.num_samples,
-        "recovered": map_to_dict(report.recovered) if report.recovered else None,
-    }
-    if report.field_map is not None:
-        body["field_map"] = {k: _clean(v) for k, v in asdict(report.field_map).items()}
-    else:
-        body["field_map"] = None
-    body["cone_preservation"]["worst_pair"] = (
-        list(report.cone.worst_pair) if report.cone.worst_pair else None
-    )
-    body["cone_preservation"]["worst_excess"] = _clean(report.cone.worst_excess)
-    return {
-        "format": REPORT_FORMAT,
-        "tool": f"lightcone {__version__}",
-        "input": input_path,
-        "metric": {"n": s.metric.n, "c": s.metric.c},
-        "report": body,
-    }
+    body = _json(report)
+    body["cone_preservation"] = body.pop("cone")
+    body["total_violations"] = report.total_violations
+    return {"format": REPORT_FORMAT, "tool": f"lightcone {__version__}", "input": input_path,
+            "metric": _json(s.metric), "report": body}
 
 
 def save_report(path: str, report: FitReport, s: SampleSet, input_path=None) -> None:

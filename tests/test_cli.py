@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lightcone import GenerateConfig, Metric, cli, is_isometry, make_samples
+from lightcone.generate import KINDS
 from lightcone.recover import SampleSet
 from lightcone.sampleio import load_samples, load_truth, map_from_dict, save_samples
 
@@ -155,6 +156,39 @@ def test_generate_non_finite_or_overflowing_parameters_exit_two(tmp_path, flags,
     assert r.returncode == 2, r.stdout + r.stderr
     assert r.stderr.startswith(f"error: {message}") and "Traceback" not in r.stderr, r.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--kind", "cubing", "--a", "1,2,3"), "cubing is not affine and takes no translation"),
+    (("--kind", "shear", "--a", "1,2,3,4"), "shear is not affine and takes no translation"),
+    (("--kind", "lorentz", "--noise", "5"), "lorentz takes no noise"),
+    (("--kind", "translation", "--noise", "5"), "translation takes no noise"),
+])
+def test_generate_refuses_a_parameter_its_kind_does_not_take(tmp_path, flags, message):
+    out = tmp_path / "s.json"
+    r = run_cli("generate", *flags, "--out", out)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr.startswith(f"error: {message}") and "Traceback" not in r.stderr, r.stderr
+    assert not out.exists()
+
+
+def _strict_json(path: Path):
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("verify_flags", [(), ("--tol", "1e308"), ("--cone-tol", "0")])
+def test_every_written_file_is_strict_json(tmp_path, capsys, kind, verify_flags):
+    # a fit threshold of inf (--tol 1e308) is written as null, as every non-finite number is
+    f, rep = tmp_path / "s.json", tmp_path / "r.json"
+    assert cli.main(["generate", "--kind", kind, "--seed", "3", "--out", str(f)]) == 0
+    assert cli.main(["verify", str(f), "--out", str(rep), *verify_flags]) in (0, 2)
+    for path in (f, tmp_path / "s.json.truth.json", rep):
+        _strict_json(path)
+    if verify_flags[:1] == ("--tol",):
+        assert _strict_json(rep)["report"]["fit_threshold"] is None
 
 
 def test_boost_prints_matrix():

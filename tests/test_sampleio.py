@@ -1,17 +1,20 @@
 """The file layout: every file is ``json.dumps(payload, sort_keys=True)``
-and a newline.  Sample files encode their pairs a block of rows at a time,
-which must not change a byte; files in the older ``indent=2`` layout load
-as they did."""
+and a newline, and strict JSON.  Sample files encode their pairs a block of
+rows at a time, which must not change a byte; files in the older
+``indent=2`` layout load as they did."""
 
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from lightcone import Metric, __version__
 from lightcone.generate import KINDS, GenerateConfig, make_samples
-from lightcone.recover import AxisGrid, SampleSet
-from lightcone.sampleio import FORMAT, load_samples, load_truth, save_samples, save_truth
+from lightcone.recover import AxisGrid, FitReport, SampleSet, recover_lorentz
+from lightcone.sampleio import (FORMAT, load_samples, load_truth, save_report, save_samples,
+                                save_truth)
 
 
 def _samples(N: int) -> SampleSet:
@@ -117,3 +120,23 @@ def test_older_files_with_null_pairs_still_load(tmp_path, null_pairs):
     _same(a, b)
     _same(a, s)
     assert meta_a == meta_b
+
+
+def test_a_report_is_its_fit_report_with_every_non_finite_number_null(tmp_path):
+    s, _ = make_samples(GenerateConfig(kind="lorentz", num_samples=60, seed=2))
+    report = recover_lorentz(s)
+    cone = dataclasses.replace(report.cone, worst_excess=-math.inf)
+    odd = dataclasses.replace(report, cone=cone, max_residual=math.nan, fit_threshold=math.inf)
+    path = tmp_path / "r.json"
+    save_report(str(path), odd, s, input_path="s.json")
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    body = json.loads(path.read_text(), parse_constant=refuse)["report"]
+    names = {f.name for f in dataclasses.fields(FitReport)} - {"cone"}
+    assert set(body) == names | {"cone_preservation", "total_violations"}
+    assert body["max_residual"] is body["fit_threshold"] is None
+    assert body["cone_preservation"]["worst_excess"] is None
+    assert body["total_violations"] == report.total_violations == 0
+    assert body["recovered"]["L"] == report.recovered.L.tolist()
