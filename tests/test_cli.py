@@ -180,7 +180,7 @@ def _strict_json(path: Path):
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("verify_flags", [(), ("--tol", "1e308"), ("--cone-tol", "0")])
-def test_every_written_file_is_strict_json(tmp_path, capsys, kind, verify_flags):
+def test_every_written_file_is_strict_json(tmp_path, kind, verify_flags):
     # a fit threshold of inf (--tol 1e308) is written as null, as every non-finite number is
     f, rep = tmp_path / "s.json", tmp_path / "r.json"
     assert cli.main(["generate", "--kind", kind, "--seed", "3", "--out", str(f)]) == 0
