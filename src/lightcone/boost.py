@@ -15,8 +15,8 @@ isometry of diag(1, 1, 1, -c^2) for every invariant speed c.
 M^T eta M = lam * eta (lam > 0) splits uniquely into alpha = sqrt(lam) > 0
 and the isometry L = M / alpha, any sign being folded into L.
 
-Maps follow the validate-once rule of :mod:`lightcone.minkowski`: public names
-check (``check_velocity``, the map constructor, tol >= 0), private kernels trust.
+Maps follow the validate-once rule of :mod:`lightcone.minkowski`: public names check
+(``check_velocity``, the map constructor, a tolerance by ``_within``), private kernels trust.
 ``boost_x``, ``compose``, ``inverse`` and ``radar.derive_map`` return maps through
 the trusted ``_map``; compose and inverse first refuse an overflowed product, and
 apply an overflowed image, each with a ValueError and no numpy warning.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import Metric, _balanced, _check_speed, _event, _finite, _within
+from .minkowski import DEFAULT_TOL, Metric, _balanced, _check_speed, _event, _finite, _within
 
 #: Velocities with |v| >= c * (1 - VELOCITY_MARGIN) are rejected: gamma diverges.
 VELOCITY_MARGIN = 1e-12
@@ -147,8 +147,7 @@ def general_boost(p: BoostParams, alpha: float) -> np.ndarray:
     """Boost matrix before the scale factor is pinned down:
     alpha * gamma * (boost core).  ``alpha = scale_factor(v, c)`` recovers
     the normalized boost."""
-    if alpha == 0 or not math.isfinite(alpha):
-        raise ValueError(f"alpha must be nonzero and finite, got {alpha}")
+    _check_map(alpha, [])
     return alpha * (1.0 / _scale_factor(p.v, p.c)) * boost_x(p).L
 
 
@@ -221,10 +220,10 @@ def _median(xs: list) -> float:
     return math.nan if any(map(math.isnan, xs)) else mid
 
 
-def is_isometry(L, m: Metric, tol: float = 1e-9) -> bool:
+def is_isometry(L, m: Metric, tol: float = DEFAULT_TOL) -> bool:
     """True iff L^T eta L = eta entrywise, relative to the magnitude of the
     products forming each entry (evaluated in the metric-balanced frame)."""
-    _within(0.0, 0.0, tol)  # refuses tol < 0 before the matrix is checked
+    _within(0.0, 0.0, tol)  # refuses a bad tol before the matrix is checked
     _, G, S, eta1 = _balanced_gram(L, m)
     return not _off_band(G, S, eta1, 1.0, tol)
 
@@ -239,7 +238,7 @@ def _off_band(G: list, S: list, eta1: list, lam: float, tol: float) -> list:
     return worst
 
 
-def decompose_conformal(M, m: Metric, tol: float = 1e-9) -> tuple[float, np.ndarray]:
+def decompose_conformal(M, m: Metric, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
     """Split M = alpha * L with alpha > 0 and L an isometry of the metric.
 
     The factor is estimated as the median of the diagonal ratios of
@@ -247,7 +246,7 @@ def decompose_conformal(M, m: Metric, tol: float = 1e-9) -> tuple[float, np.ndar
     noise.  Raises NotConformalError when the Gram matrix is not
     proportional to eta, SignatureError when the factor is non-positive.
     """
-    _within(0.0, 0.0, tol)  # refuses tol < 0 before the matrix is checked
+    _within(0.0, 0.0, tol)  # refuses a bad tol before the matrix is checked
     M, G, S, eta1 = _balanced_gram(M, m)
     lam = _median([*G[:-1:m.n + 1], -G[-1]])  # the diagonal of G over that of eta1
     worst = _off_band(G, S, eta1, lam, tol)

@@ -144,8 +144,7 @@ def _cmd_radar(args) -> int:
 def _cmd_classify(args) -> int:
     e1 = _parse_vector(args.event1)
     e2 = _parse_vector(args.event2)
-    n = args.n if args.n is not None else len(e1)
-    m = Metric(n, args.c)
+    m = Metric(len(e1), args.c)
     cls = classify(e1, e2, m, args.tol)
     print(f"{cls.value} (interval = {_fmt(interval(e1, e2, m))})")
     return 0
@@ -196,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("event1", help="comma-separated coordinates, time last")
     p.add_argument("event2")
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_classify)
     return parser

@@ -146,7 +146,7 @@ def point_on_line(p, l: Line, tol: float = DEFAULT_TOL) -> bool:
     return _on_line(as_event(p, Metric(point.size)), point, d, tol)
 
 
-def same_line(l1: Line, l2: Line, tol: float = 1e-9) -> bool:
+def same_line(l1: Line, l2: Line, tol: float = DEFAULT_TOL) -> bool:
     """Equality as point sets: probe each line at parameters {-1, 0, +1}
     of its unit direction and require the probes to lie on the other."""
     a, b = _line_parts(l1), _line_parts(l2)
@@ -223,12 +223,9 @@ def on_null_plane_by_characterization(p, l: Line, m: Metric, tol: float = DEFAUL
 
 
 def _euclid_normal(p: Plane, m: Metric) -> list:
-    if p.point.shape != (3,):
+    if m.n != 3 or p.point.shape != (3,):
         raise ValueError("plane intersection is implemented for n = 3")
-    u, v = np.asarray(p.span[0], dtype=float), np.asarray(p.span[1], dtype=float)
-    if u.shape == v.shape == (3,):
-        return _cross(_event(u, m)[1], _event(v, m)[1])
-    return _event(np.cross(u, v), m)[1]  # np.cross refuses what it cannot cross
+    return _cross(_event(p.span[0], m)[1], _event(p.span[1], m)[1])
 
 
 def intersect_planes(p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL) -> Line:

@@ -24,10 +24,10 @@ diag(1, ..., 1, -1) at every c, with no floor either: ``_sine``,
 Public names check, private kernels trust: each public function checks every
 argument once (events with ``_event``, the check of :func:`as_event`, which also
 returns the Python floats it checked), on which ``_inner``, ``_abs_inner``,
-``_classify`` (the form, its scale, the null band) and ``_within`` (every test
-against a tolerance, the one refusal of tol < 0) do plain float arithmetic,
-several times cheaper than numpy's dispatch on 3- and 4-vectors.  One pass, same
-summation order: a kernel needing several sums of the same vectors (``cones._span``)
+``_classify`` (the form, its scale, the null band) and ``_within`` (every test against a
+tolerance, and the package's one refusal of a tolerance outside [0, inf)) do plain float
+arithmetic, several times cheaper than numpy's dispatch on 3- and 4-vectors.  One pass,
+same summation order: a kernel needing several sums of the same vectors (``cones._span``)
 takes them in one walk, each added in these helpers' order (left to right, as
 ``sum()`` adds before CPython 3.12), so no result changes by a bit.
 """
@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from operator import mul, sub
 from sys import float_info
 
@@ -123,8 +123,8 @@ def _abs_inner(r, s, c: float) -> float:
 
 def _within(q: float, scale: float, tol: float) -> bool:
     # |q| <= tol * scale, the null band of a product q of magnitude scale among them
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
+    if not 0 <= tol < inf:  # a NaN fails the comparison
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
     return abs(q) <= tol * scale
 
 
@@ -210,7 +210,7 @@ def interval(r, s, m: Metric) -> float:
 def classify(r, s, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
     """Causal class of the pair (r, s): the sign of ``interval(r, s)``,
     with the null band of the module docstring."""
-    _within(0.0, 0.0, tol)  # refuses tol < 0 before the events are checked
+    _within(0.0, 0.0, tol)  # refuses a bad tol before the events are checked
     return _classify(list(map(sub, _event(r, m)[1], _event(s, m)[1])), m.c, tol)
 
 

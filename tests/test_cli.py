@@ -259,6 +259,13 @@ def test_classify_dimension_mismatch_exit_two():
     assert run_cli("classify", "0,0,0", "1,0,0,1").returncode == 2
 
 
+def test_classify_takes_its_dimension_from_the_events():
+    # --n could only refuse a dimension that disagreed with the events; it is gone
+    r = run_cli("classify", "0,0,0,0", "1,0,0,1", "--n", 4)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "unrecognized arguments: --n 4" in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+
 def test_classify_speed_with_an_overflowing_square_exit_two():
     r = run_cli("classify", "1,0,0,0", "0,0,0,0", "--c", 1e200)
     assert r.returncode == 2
@@ -338,7 +345,21 @@ def test_verify_refuses_a_bad_fit_tolerance(tmp_path, valid_sample_text, tol):
     r = run_cli("verify", f, f"--tol={tol}")
     assert r.returncode == 2, r.stdout + r.stderr
     assert r.stdout == ""
-    assert r.stderr == f"error: fit tolerance must be finite and >= 0, got {float(tol)}\n"
+    assert r.stderr == f"error: tolerance must be finite and >= 0, got {float(tol)}\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag", ["classify --tol", "verify --cone-tol"])
+def test_a_bad_tolerance_exits_two(tmp_path, valid_sample_text, flag, tol):
+    # every tolerance flag has the fit tolerance's rule and message; classify answered nan and inf
+    f = tmp_path / "valid.json"
+    f.write_text(valid_sample_text)
+    command, flag = flag.split()
+    operands = ("0,0,0,0", "0,0,0,0") if command == "classify" else (f,)
+    r = run_cli(command, *operands, f"{flag}={tol}")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stdout == ""
+    assert r.stderr == f"error: tolerance must be finite and >= 0, got {float(tol)}\n"
 
 
 def test_verify_at_cone_tol_zero_writes_a_report(tmp_path, valid_sample_text):

@@ -488,7 +488,7 @@ def test_recover_refuses_a_bad_fit_tolerance(monkeypatch, tol):
     # refused before any check runs
     s, _ = lorentz_set()
     monkeypatch.setattr(recover, "check_cone_preservation", None)
-    with pytest.raises(ValueError, match=f"fit tolerance must be finite and >= 0, got {tol}"):
+    with pytest.raises(ValueError, match=f"^tolerance must be finite and >= 0, got {tol}$"):
         recover_lorentz(s, tol=tol)
 
 

@@ -42,6 +42,18 @@ the event check's message (``apply[nan]`` returned NaN, ``[+inf]`` warned).
 runs (``[tol=nan]`` and ``[tol=-1.0]`` refused the map with a NaN or negative
 threshold and no reason, ``[tol=inf]`` accepted any residual).
 
+Every tolerance of ``minkowski``, ``boost``, ``cones`` and ``recover`` is now
+refused by one rule, ``minkowski._within``'s, with one message: a tolerance
+must be finite and >= 0.  The rule refused tol < 0 only, so each ``[tol]`` row
+got ``[tol=nan]`` and ``[tol=inf]`` siblings (NaN answered as no band at all,
+inf as a band holding everything), recover's own "fit tolerance" and "cone
+tolerance" messages became the one message, and ``same_line``,
+``transform_line`` and the four checks of ``recover`` got rows at -1, nan and
+inf (the marker and field-map checks never checked a tolerance: at -1 every
+marker was violated, at NaN none).  A span vector of ``intersect_planes`` and
+``intersect_null_planes`` gets the event check of its plane's dimension, which
+replaced numpy's cross product message (``[plane{0,1}-{0,1}-shape]``).
+
 The Python float forms that replaced numpy calls on 3-vectors and a few
 ratios (``cones._cross``, ``boost._median``) must equal those calls bit
 for bit.
@@ -56,7 +68,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lightcone import boost, cones, minkowski, radar, recover
+from lightcone import GenerateConfig, boost, cones, make_samples, minkowski, radar, recover
 from lightcone.boost import AffineLorentzMap, BoostParams, NotConformalError
 from lightcone.cones import Line, Plane
 from lightcone.minkowski import CausalClass, Metric
@@ -78,6 +90,7 @@ P1 = Plane(O3, (D1, np.array([-2.0, 0.0, 0.0])), CC.LIGHTLIKE)
 P2 = Plane(O3, (D2, np.array([2.0, 0.0, 0.0])), CC.LIGHTLIKE)
 B = boost.boost_x(BoostParams(0.6 * C, C)).L
 MAP = AffineLorentzMap(1.5, B, R4)
+MAP3 = AffineLorentzMap(1.5, np.eye(3), O3)
 FAULTS = ("shape", "nan", "+inf", "-inf")
 
 
@@ -238,6 +251,10 @@ def _rows():
     rows["boost.decompose_conformal[tol]"] = (boost.decompose_conformal, (B, M4, -1.0))
     rows["boost.scale_constraint_check[tol]"] = (
         boost.scale_constraint_check, (0.8, 0.8, BoostParams(0.6, 1.0), -1.0))
+    for row, (fn, args) in list(rows.items()):  # each [tol] row, its tolerance not finite
+        if row.endswith("[tol]"):
+            for tol in (math.nan, math.inf):
+                rows[f"{row[:-4]}tol={tol}]"] = (fn, (*args[:-1], tol))
     for alpha in (0.0, math.nan, math.inf, -math.inf):
         rows[f"boost.AffineLorentzMap[alpha={alpha}]"] = (AffineLorentzMap, (alpha, B, R4))
         rows[f"boost.general_boost[alpha={alpha}]"] = (
@@ -273,8 +290,14 @@ def _rows():
     for dx in (0.0, -1.0, math.nan, math.inf):
         rows[f"radar.RadarScenario[delta_xbar={dx}]"] = (radar.RadarScenario, (0.5, 1.0, dx))
     identity = recover.SampleSet(M4, np.eye(5, 4), np.eye(5, 4))
+    cubing = make_samples(GenerateConfig(kind="cubing", num_samples=34, seed=0))[0]
     for tol in (math.nan, -1.0, math.inf):
         rows[f"recover.recover_lorentz[tol={tol}]"] = (recover.recover_lorentz, (identity, tol))
+        rows[f"cones.same_line[tol={tol}]"] = (cones.same_line, (NULL_LINE, NULL_LINE, tol))
+        rows[f"cones.transform_line[tol={tol}]"] = (cones.transform_line, (MAP3, NULL_LINE, M3, tol))
+        for name in ("check_cone_preservation", "check_collinearity", "check_parallelism",
+                     "induced_field_map_check"):
+            rows[f"recover.{name}[tol={tol}]"] = (getattr(recover, name), (cubing, tol))
     return rows
 
 
@@ -305,13 +328,17 @@ SHAPE_4_NOT_3 = ('raises', 'ValueError', 'event has shape (4,), expected (3,)')
 SHAPE_5_NOT_4 = ('raises', 'ValueError', 'event has shape (5,), expected (4,)')
 NOT_CONFORMAL_NAN = (
     'raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation nan)')
-NEGATIVE_TOL = ('raises', 'ValueError', 'tolerance must be >= 0')
+
+
+def _bad_tol(tol):
+    return ('raises', 'ValueError', f'tolerance must be finite and >= 0, got {tol}')
+
+
+NEGATIVE_TOL = _bad_tol(-1e-09)
 NON_FINITE_MAP = ('raises', 'ValueError', 'map has non-finite entries')
 ALPHA_INF = ('raises', 'ValueError', 'alpha must be nonzero and finite, got inf')
 C2_RANGE = ("raises", "ValueError", "invariant speed must have c^2 in the normal float range "
             "[2.2250738585072014e-308, 1.7976931348623157e+308], got c = {}")
-NOT_CROSSABLE = (
-    'raises', 'ValueError', 'incompatible dimensions for cross product\n(dimension must be 2 or 3)')
 V_IS_C = ('raises', 'ValueError', 'degenerate velocity: |v|=2.0 must be < c=2.0')
 FALSE = ('returns', 'False')
 ZERO_DIRECTION = ('raises', 'ValueError', 'line direction must be nonzero')
@@ -388,7 +415,7 @@ EXPECTED = {
         ('raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation 5.000e-01)'),
     'boost.decompose_conformal[shear-1e-5]':
         ('raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation 5.000e-01)'),
-    'boost.decompose_conformal[tol]': NEGATIVE_TOL,
+    'boost.decompose_conformal[tol]': _bad_tol(-1.0),
     'boost.gamma[v=-2.0,c=2.0]': V_IS_C,
     'boost.gamma[v=0.5,c=-1.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
@@ -435,8 +462,8 @@ EXPECTED = {
         ('raises', 'ValueError', 'matrix has shape (4,), expected (4, 4)'),
     'boost.is_isometry[shape-4x5]':
         ('raises', 'ValueError', 'matrix has shape (4, 5), expected (4, 4)'),
-    'boost.is_isometry[tol]': NEGATIVE_TOL,
-    'boost.scale_constraint_check[tol]': NEGATIVE_TOL,
+    'boost.is_isometry[tol]': _bad_tol(-1.0),
+    'boost.scale_constraint_check[tol]': _bad_tol(-1.0),
     'boost.scale_factor[v=-2.0,c=2.0]': V_IS_C,
     'boost.scale_factor[v=0.5,c=-1.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
@@ -479,11 +506,11 @@ EXPECTED = {
     'cones.intersect_null_planes[plane0-0-+inf]': NON_FINITE,
     'cones.intersect_null_planes[plane0-0--inf]': NON_FINITE,
     'cones.intersect_null_planes[plane0-0-nan]': NON_FINITE,
-    'cones.intersect_null_planes[plane0-0-shape]': NOT_CROSSABLE,
+    'cones.intersect_null_planes[plane0-0-shape]': SHAPE_4_NOT_3,
     'cones.intersect_null_planes[plane0-1-+inf]': NON_FINITE,
     'cones.intersect_null_planes[plane0-1--inf]': NON_FINITE,
     'cones.intersect_null_planes[plane0-1-nan]': NON_FINITE,
-    'cones.intersect_null_planes[plane0-1-shape]': NOT_CROSSABLE,
+    'cones.intersect_null_planes[plane0-1-shape]': SHAPE_4_NOT_3,
     'cones.intersect_null_planes[plane0-point-+inf]': NON_FINITE,
     'cones.intersect_null_planes[plane0-point--inf]': NON_FINITE,
     'cones.intersect_null_planes[plane0-point-nan]': NON_FINITE,
@@ -492,11 +519,11 @@ EXPECTED = {
     'cones.intersect_null_planes[plane1-0-+inf]': NON_FINITE,
     'cones.intersect_null_planes[plane1-0--inf]': NON_FINITE,
     'cones.intersect_null_planes[plane1-0-nan]': NON_FINITE,
-    'cones.intersect_null_planes[plane1-0-shape]': NOT_CROSSABLE,
+    'cones.intersect_null_planes[plane1-0-shape]': SHAPE_4_NOT_3,
     'cones.intersect_null_planes[plane1-1-+inf]': NON_FINITE,
     'cones.intersect_null_planes[plane1-1--inf]': NON_FINITE,
     'cones.intersect_null_planes[plane1-1-nan]': NON_FINITE,
-    'cones.intersect_null_planes[plane1-1-shape]': NOT_CROSSABLE,
+    'cones.intersect_null_planes[plane1-1-shape]': SHAPE_4_NOT_3,
     'cones.intersect_null_planes[plane1-point-+inf]': NON_FINITE,
     'cones.intersect_null_planes[plane1-point--inf]': NON_FINITE,
     'cones.intersect_null_planes[plane1-point-nan]': NON_FINITE,
@@ -509,11 +536,11 @@ EXPECTED = {
     'cones.intersect_planes[plane0-0-+inf]': NON_FINITE,
     'cones.intersect_planes[plane0-0--inf]': NON_FINITE,
     'cones.intersect_planes[plane0-0-nan]': NON_FINITE,
-    'cones.intersect_planes[plane0-0-shape]': NOT_CROSSABLE,
+    'cones.intersect_planes[plane0-0-shape]': SHAPE_4_NOT_3,
     'cones.intersect_planes[plane0-1-+inf]': NON_FINITE,
     'cones.intersect_planes[plane0-1--inf]': NON_FINITE,
     'cones.intersect_planes[plane0-1-nan]': NON_FINITE,
-    'cones.intersect_planes[plane0-1-shape]': NOT_CROSSABLE,
+    'cones.intersect_planes[plane0-1-shape]': SHAPE_4_NOT_3,
     'cones.intersect_planes[plane0-point-+inf]': NON_FINITE,
     'cones.intersect_planes[plane0-point--inf]': NON_FINITE,
     'cones.intersect_planes[plane0-point-nan]': NON_FINITE,
@@ -522,11 +549,11 @@ EXPECTED = {
     'cones.intersect_planes[plane1-0-+inf]': NON_FINITE,
     'cones.intersect_planes[plane1-0--inf]': NON_FINITE,
     'cones.intersect_planes[plane1-0-nan]': NON_FINITE,
-    'cones.intersect_planes[plane1-0-shape]': NOT_CROSSABLE,
+    'cones.intersect_planes[plane1-0-shape]': SHAPE_4_NOT_3,
     'cones.intersect_planes[plane1-1-+inf]': NON_FINITE,
     'cones.intersect_planes[plane1-1--inf]': NON_FINITE,
     'cones.intersect_planes[plane1-1-nan]': NON_FINITE,
-    'cones.intersect_planes[plane1-1-shape]': NOT_CROSSABLE,
+    'cones.intersect_planes[plane1-1-shape]': SHAPE_4_NOT_3,
     'cones.intersect_planes[plane1-point-+inf]': NON_FINITE,
     'cones.intersect_planes[plane1-point--inf]': NON_FINITE,
     'cones.intersect_planes[plane1-point-nan]': NON_FINITE,
@@ -822,13 +849,15 @@ EXPECTED = {
         ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
     'radar.yzprime[v=nan,c=2.0]':
         ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
-    'recover.recover_lorentz[tol=-1.0]':
-        ('raises', 'ValueError', 'fit tolerance must be finite and >= 0, got -1.0'),
-    'recover.recover_lorentz[tol=inf]':
-        ('raises', 'ValueError', 'fit tolerance must be finite and >= 0, got inf'),
-    'recover.recover_lorentz[tol=nan]':
-        ('raises', 'ValueError', 'fit tolerance must be finite and >= 0, got nan'),
 }
+# the nan and inf siblings of each [tol] row, and the rows of every tolerance at -1, nan and inf
+EXPECTED.update({f"{row[:-4]}tol={tol}]": _bad_tol(tol)
+                 for row in list(EXPECTED) if row.endswith("[tol]") for tol in (math.nan, math.inf)})
+EXPECTED.update({f"{name}[tol={tol}]": _bad_tol(tol)
+                 for name in ("cones.same_line", "cones.transform_line", "recover.recover_lorentz",
+                              "recover.check_cone_preservation", "recover.check_collinearity",
+                              "recover.check_parallelism", "recover.induced_field_map_check")
+                 for tol in (-1.0, math.nan, math.inf)})
 
 
 @pytest.mark.parametrize("row", sorted(ROWS))
