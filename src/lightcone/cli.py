@@ -19,10 +19,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .boost import BoostParams, _scale_factor, boost_x
+from .boost import BoostParams, boost_x
 from .generate import KINDS, GenerateConfig, make_samples
 from .minkowski import DEFAULT_TOL, Metric, classify, interval
-from .radar import RadarScenario, _xprime, light_clock, rest_frame_positions
+from .radar import RadarScenario, light_clock
 from .recover import FIT_TOL, GEOMETRY_TOL, recover_lorentz
 from .sampleio import (
     SampleFormatError,
@@ -114,21 +114,9 @@ def _cmd_boost(args) -> int:
 
 
 def _cmd_radar(args) -> int:
-    sc = RadarScenario(v=args.v, c=args.c, delta_xbar=args.delta_xbar, t0=args.t0)
-    tl = light_clock(sc)
-    xk = rest_frame_positions(sc)
-    alpha = _scale_factor(sc.v, sc.c)  # the scenario checked v and c
-    xbars = (0.0, sc.delta_xbar, 0.0)
-    rows = [
-        (name, t, x, tp, _xprime(xb, sc.v, sc.c, alpha))
-        for name, t, x, tp, xb in zip(
-            ("emit", "reflect", "return"),
-            (tl.t0, tl.t1, tl.t2),
-            xk,
-            (tl.tprime0, tl.tprime1, tl.tprime2),
-            xbars,
-        )
-    ]
+    tl = light_clock(RadarScenario(v=args.v, c=args.c, delta_xbar=args.delta_xbar, t0=args.t0))
+    rows = zip(("emit", "reflect", "return"), (tl.t0, tl.t1, tl.t2), tl.x,
+               (tl.tprime0, tl.tprime1, tl.tprime2), tl.xprime)
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)

@@ -17,6 +17,7 @@ from sys import float_info
 
 import numpy as np
 
+from .boost import apply
 from .minkowski import (_LIGHTLIKE, _SPACELIKE, _TIMELIKE, DEFAULT_TOL, CausalClass, Metric,
                         _abs_inner, _classify, _dot, _event, _frame, _inner, _line_distance,
                         _minus, _within, as_event)
@@ -45,11 +46,6 @@ class Plane:
     point: np.ndarray
     span: tuple[np.ndarray, np.ndarray]
     causal_class: CausalClass
-
-
-def _norm(x) -> np.float64:
-    x = np.asarray(x).ravel()  # np.linalg.norm's own formula and type, without its dispatch
-    return np.float64(math.sqrt(x.dot(x)))
 
 
 def _cross(a, b) -> list:
@@ -152,7 +148,7 @@ def same_line(l1: Line, l2: Line, tol: float = DEFAULT_TOL) -> bool:
     a, b = _line_parts(l1), _line_parts(l2)
     as_event(b[0], Metric(a[0].size))  # both lines in one dimension
     for (point, d), (on_point, on_d) in ((b, a), (a, b)):
-        d = d / _norm(d)
+        d = d / np.linalg.norm(d)
         for t in (-1.0, 0.0, 1.0):
             if not _on_line(point + t * d, on_point, on_d, tol):
                 return False
@@ -284,8 +280,10 @@ def plane_through_lines(l1: Line, l2: Line, m: Metric, tol: float = DEFAULT_TOL)
 
 
 def transform_line(mp, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> Line:
-    """Image of a line under an affine map: transform the point, push the
-    direction through the linear part, reclassify."""
-    point = mp.alpha * (mp.L @ l.point) + mp.a
-    direction = mp.alpha * (mp.L @ l.direction)
+    """Image of a line under an affine map: the checked point through ``apply``,
+    the direction through the linear part, reclassified by ``line_through``."""
+    point, d = _line_parts(l)
+    point = apply(mp, point)
+    with np.errstate(over="ignore", invalid="ignore"):  # line_through refuses a non-finite one
+        direction = mp.alpha * mp.L.dot(d)
     return line_through(point, direction, m, tol)

@@ -12,9 +12,9 @@ runtime parameter instead of a unit convention.
 The exact trichotomy (zero / positive / negative squared interval) is
 replaced by the one null band of the package: a metric product
 ``q = inner(r, s)`` is null iff ``|q| <= tol * abs_inner(r, s)``.  For a
-separation d the scale is ``|d_space|^2 + c^2 d_t^2``, with no floor: an exact
-zero (a vertex on its own cone) is null as 0 <= 0, and neither rescaling the
-events nor trading the time unit against ``c`` changes a class.
+separation d the scale is ``|d_space|^2 + c^2 d_t^2``, with no floor: an exact zero is null
+as 0 <= 0, and neither rescaling the events to any float (a square that leaves the normal
+range is taken again of d 2^k) nor trading the time unit against ``c`` changes a class.
 
 Every Euclidean test is taken in the one balanced frame ``x D`` (``_frame``;
 ``_balanced`` is D M D^-1), D = diag(1, ..., 1, c), where the form is
@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import frexp, inf, isfinite, ldexp
 from operator import mul, sub
 from sys import float_info
 
@@ -45,6 +45,7 @@ import numpy as np
 
 #: Default width of the null band, relative to ``abs_inner`` (see the module docstring).
 DEFAULT_TOL = 1e-9
+_TINY = 2.0 ** -900  # the least scale of a separation whose every square that counts is normal
 
 
 class CausalClass(enum.Enum):
@@ -175,7 +176,15 @@ def _line_distance(w, d) -> float:
 
 
 def _classify(d, c: float, tol: float) -> CausalClass:
-    space, time = sum(map(mul, d[:-1], d[:-1])), c ** 2 * (d[-1] * d[-1])
+    c2 = c ** 2
+    space, time = sum(map(mul, d[:-1], d[:-1])), c2 * (d[-1] * d[-1])
+    if not _TINY * (1.0 + c2) <= space + time < inf and any(d):
+        # a square that counts left the normal range (d_t^2 can, for c > 1): square d 2^k,
+        # exactly, with k putting the largest component of d D near sqrt(c) (c d_t may overflow)
+        s, t, ec = max(map(abs, d[:-1])), d[-1], frexp(c)[1]
+        k = ec // 2 - max(frexp(s)[1] if s else -inf, frexp(t)[1] + ec if t else -inf)
+        d = [ldexp(x, k) for x in d]
+        space, time = sum(map(mul, d[:-1], d[:-1])), c2 * (d[-1] * d[-1])
     iv = space - time
     if _within(iv, space + time, tol):
         return _LIGHTLIKE

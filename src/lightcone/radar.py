@@ -49,7 +49,7 @@ class RadarScenario:
 @dataclass(frozen=True)
 class RadarTimeline:
     """Emission / reflection / return times in the rest frame (t0, t1, t2)
-    and in the moving frame (tprime0, tprime1, tprime2)."""
+    and in the moving frame (tprime0, tprime1, tprime2) of a scenario."""
 
     t0: float
     t1: float
@@ -57,6 +57,20 @@ class RadarTimeline:
     tprime0: float
     tprime1: float
     tprime2: float
+    scenario: RadarScenario
+
+    @property
+    def x(self) -> tuple[float, float, float]:
+        """Rest-frame x of the three events: the source is at xbar = 0, the mirror at delta_xbar."""
+        sc = self.scenario
+        return sc.v * self.t0, sc.delta_xbar + sc.v * self.t1, sc.v * self.t2
+
+    @property
+    def xprime(self) -> tuple[float, float, float]:
+        """Moving-frame x' of the three events, by the closed form."""
+        sc = self.scenario
+        alpha = _scale_factor(sc.v, sc.c)  # the scenario checked v and c
+        return tuple(_xprime(xbar, sc.v, sc.c, alpha) for xbar in (0.0, sc.delta_xbar, 0.0))
 
 
 def comoving(x: float, t: float, v: float) -> float:
@@ -103,7 +117,7 @@ def _yzprime(y_or_z, v, c, alpha):
 
 
 def light_clock(sc: RadarScenario) -> RadarTimeline:
-    """Run the clock and report both frames' times.
+    """Run the clock and report both frames' times (and, on reading, positions).
 
     Rest-frame: t1 = t0 + delta_xbar / (c - v), t2 = t1 + delta_xbar / (c + v).
     Moving-frame times come from the derived closed forms and satisfy the
@@ -121,17 +135,7 @@ def light_clock(sc: RadarScenario) -> RadarTimeline:
         tprime0=_tprime(0.0, sc.t0, sc.v, sc.c, alpha),
         tprime1=_tprime(sc.delta_xbar, t1, sc.v, sc.c, alpha),
         tprime2=_tprime(0.0, t2, sc.v, sc.c, alpha),
-    )
-
-
-def rest_frame_positions(sc: RadarScenario) -> tuple[float, float, float]:
-    """x-coordinates of emission, reflection, and return in the rest frame
-    (the source sits at xbar = 0, the mirror at xbar = delta_xbar)."""
-    tl = light_clock(sc)
-    return (
-        sc.v * tl.t0,
-        sc.delta_xbar + sc.v * tl.t1,
-        sc.v * tl.t2,
+        scenario=sc,
     )
 
 

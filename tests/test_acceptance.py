@@ -151,8 +151,8 @@ def test_criterion_6_recovery_soundness():
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "lightcone", *map(str, args)],
+    return subprocess.run(  # warnings as errors, as in the CI smoke step
+        [sys.executable, "-W", "error", "-m", "lightcone", *map(str, args)],
         capture_output=True,
         text=True,
     )

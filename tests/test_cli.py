@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 import subprocess
@@ -19,8 +20,9 @@ from lightcone.sampleio import load_samples, load_truth, map_from_dict, save_sam
 
 
 def run_cli(*args, **kwargs):
+    # warnings as errors, as in the CI smoke step: a numpy warning fails the command
     return subprocess.run(
-        [sys.executable, "-m", "lightcone", *map(str, args)],
+        [sys.executable, "-W", "error", "-m", "lightcone", *map(str, args)],
         capture_output=True,
         text=True,
         **kwargs,
@@ -242,6 +244,31 @@ def test_radar_moving_csv(tmp_path):
     assert tp[1] == pytest.approx(0.5 * (tp[0] + tp[2]), rel=1e-12)
 
 
+SPEEDS = (0.1, 1.0, 343.0, 2.99792458e8)
+RADAR_DIGESTS = Path(__file__).with_name("radar_digests.json")
+RADAR_CASES = [(v_over_c, c, delta_xbar, t0) for v_over_c in (0.0, 0.3, -0.3, 0.5, 0.9)
+               for c in SPEEDS for delta_xbar in (1.0, 1.5) for t0 in (0.0, 0.25)]
+
+
+def _radar_case(v_over_c, c, delta_xbar, t0) -> str:
+    return f"v={v_over_c!r}c,c={c!r},dx={delta_xbar!r},t0={t0!r}"
+
+
+def _radar_csv_sha256(v_over_c, c, delta_xbar, t0) -> str:
+    with tempfile.TemporaryDirectory() as d:
+        out = Path(d) / "radar.csv"
+        args = ("--v", v_over_c * c, "--c", c, "--delta-xbar", delta_xbar, "--t0", t0, "--out", out)
+        assert cli.main(["radar", *map(str, args)]) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", RADAR_CASES, ids=[_radar_case(*case) for case in RADAR_CASES])
+def test_radar_csv_bytes_are_pinned(case):
+    # the CSV bytes, "\r\n" line ends included, recorded when the command ran the
+    # light clock twice and evaluated x' itself; it now prints the record's own fields
+    assert _radar_csv_sha256(*case) == json.loads(RADAR_DIGESTS.read_text())[_radar_case(*case)]
+
+
 def test_radar_bad_scenario_exit_two():
     assert run_cli("radar", "--v", 2, "--c", 1).returncode == 2
     assert run_cli("radar", "--v", 0.5, "--delta-xbar", -1).returncode == 2
@@ -253,6 +280,12 @@ def test_classify_outputs():
     assert run_cli("classify", "0,0,0,0", "0,0,0,1").stdout.startswith("timelike")
     assert run_cli("classify", "--c", 343, "0,0,343", "0,1,343").stdout.startswith("spacelike")
     assert run_cli("classify", "--c", 0.001, "0,0,0,0", "0,0,0,0.01").stdout.startswith("timelike")
+
+
+def test_classify_a_separation_whose_square_overflows():
+    # its squared length overflows to inf, which the null band once read as lightlike
+    r = run_cli("classify", "0,0,0,0", "1e200,0,0,0")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "spacelike (interval = inf)\n", "")
 
 
 def test_classify_dimension_mismatch_exit_two():
@@ -465,3 +498,10 @@ def test_verify_of_a_mutated_file_exits_with_a_code(mutation_dir, mutation):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["verify", str(f)]) in ((0, 1) if markers else (0, 1, 2))
+
+
+if __name__ == "__main__":
+    # after a deliberate change to the radar CSV, record its digests again with
+    #     PYTHONPATH=src python tests/test_cli.py > tests/radar_digests.json
+    print(json.dumps({_radar_case(*case): _radar_csv_sha256(*case) for case in RADAR_CASES},
+                     indent=1))

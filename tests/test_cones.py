@@ -69,6 +69,10 @@ def test_tangent_cone_rejects_nonnull_pair():
 # ------------------------------------------------------- step (ii)
 
 
+def test_line_through_a_direction_whose_square_overflows():
+    assert line_through(ZERO3, [1e200, 0, 0], M3).causal_class is CausalClass.SPACELIKE
+
+
 def test_null_plane_is_p1_equals_p3():
     # inner((p1,p2,p3), (1,0,1)) = p1 - p3, so the plane is {p1 = p3}
     pl = null_plane_through(null_line([1, 0, 1]), M3)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lightcone import CausalClass, Metric, classify, inner, interval, on_null_cone
@@ -151,6 +153,40 @@ def test_classify_scale_covariant(lam, sign):
         (np.array([0.3, 0, 0.1, 2.0]), CausalClass.TIMELIKE),
     ]:
         assert classify(sign * lam * d, zero, M4) is expected
+
+
+def _scaled_exactly(r, e):
+    # r times 2^e, or None where a component would overflow or lose a bit
+    try:
+        s = [math.ldexp(x, e) for x in r]
+    except OverflowError:
+        return None
+    return s if [math.ldexp(x, -e) for x in s] == r else None
+
+
+@given(r=vec4, null=st.booleans(), c=st.sampled_from(SPEEDS), e=st.integers(-1100, 1100),
+       tol=st.sampled_from([0.0, 1e-9, 1e-3]))
+@example(r=(1.0, 0.0, 0.0, 0.0), null=False, c=1.0, e=1000, tol=1e-9)
+@example(r=(1.0, 0.0, 0.0, 0.0), null=False, c=1.0, e=-1000, tol=1e-9)
+@example(r=(0.0, 0.0, 0.0, 1.0), null=False, c=2.99792458e8, e=-600, tol=1e-9)
+@settings(max_examples=300)
+def test_classify_is_unchanged_by_every_exact_power_of_two(r, null, c, e, tol):
+    # the squares are 4^e times those of r, in or out of the float range; a null r
+    # has its time set so that the pair sits on or next to the band's edge
+    r = [r[0], r[1], r[2], math.hypot(*r[:3]) / c if null else r[3] / c]
+    s = _scaled_exactly(r, e)
+    assume(s is not None)
+    assert _classify(s, c, tol) is _classify(r, c, tol)
+
+
+@pytest.mark.parametrize("d, c, want", [
+    ((1e200, 0.0, 0.0, 0.0), 1.0, CausalClass.SPACELIKE),  # |d|^2 overflows
+    ((0.0, 0.0, 0.0, 1e200), 1.0, CausalClass.TIMELIKE),
+    ((1e-170, 0.0, 0.0, 0.0), 1.0, CausalClass.SPACELIKE),  # |d|^2 underflows to 0
+    ((0.0, 0.0, 0.0, 1e150), 2.99792458e8, CausalClass.TIMELIKE),  # c^2 d_t^2 overflows
+])
+def test_classify_at_every_representable_scale(d, c, want):
+    assert classify(d, np.zeros(4), Metric(4, c)) is want
 
 
 def test_as_event_rejects_nonfinite():

@@ -172,6 +172,11 @@ def test_light_clock_equals_the_checked_closed_forms():
                     tprime(0.0, tl.t2, v, c, alpha))
         got = (tl.tprime0, tl.tprime1, tl.tprime2)
         assert [x.hex() for x in map(float, got)] == [x.hex() for x in map(float, expected)]
+        # each event's x in both frames: the mirror at xbar = delta_xbar, the source at 0
+        expected = tuple(xprime(xbar, v, c, alpha) for xbar in (0.0, sc.delta_xbar, 0.0))
+        assert [x.hex() for x in tl.xprime] == [x.hex() for x in expected]
+        expected = (v * tl.t0, sc.delta_xbar + v * tl.t1, v * tl.t2)
+        assert [x.hex() for x in tl.x] == [x.hex() for x in expected]
 
 
 def test_derive_map_velocity_reversal_inverts():

@@ -53,6 +53,10 @@ inf (the marker and field-map checks never checked a tolerance: at -1 every
 marker was violated, at NaN none).  A span vector of ``intersect_planes`` and
 ``intersect_null_planes`` gets the event check of its plane's dimension, which
 replaced numpy's cross product message (``[plane{0,1}-{0,1}-shape]``).
+``transform_line`` maps its line's point through ``boost.apply``: a line of
+another dimension than the map (``[map-dims]``) read numpy's matmul message,
+and an image that overflows (``[overflow]``) warned, then got the event check's
+non-finite message from ``line_through``.
 
 The Python float forms that replaced numpy calls on 3-vectors and a few
 ratios (``cones._cross``, ``boost._median``) must equal those calls bit
@@ -91,6 +95,8 @@ P2 = Plane(O3, (D2, np.array([2.0, 0.0, 0.0])), CC.LIGHTLIKE)
 B = boost.boost_x(BoostParams(0.6 * C, C)).L
 MAP = AffineLorentzMap(1.5, B, R4)
 MAP3 = AffineLorentzMap(1.5, np.eye(3), O3)
+HUGE3 = AffineLorentzMap(1e300, np.eye(3), O3)
+FAR_LINE = Line(np.array([1e10, 0.0, 0.0]), UX, CC.SPACELIKE)  # its image under HUGE3 overflows
 FAULTS = ("shape", "nan", "+inf", "-inf")
 
 
@@ -291,6 +297,8 @@ def _rows():
         rows[f"radar.RadarScenario[delta_xbar={dx}]"] = (radar.RadarScenario, (0.5, 1.0, dx))
     identity = recover.SampleSet(M4, np.eye(5, 4), np.eye(5, 4))
     cubing = make_samples(GenerateConfig(kind="cubing", num_samples=34, seed=0))[0]
+    rows["cones.transform_line[map-dims]"] = (cones.transform_line, (MAP3, Line(R4, S4, CC.SPACELIKE), M4))
+    rows["cones.transform_line[overflow]"] = (cones.transform_line, (HUGE3, FAR_LINE, M3))
     for tol in (math.nan, -1.0, math.inf):
         rows[f"recover.recover_lorentz[tol={tol}]"] = (recover.recover_lorentz, (identity, tol))
         rows[f"cones.same_line[tol={tol}]"] = (cones.same_line, (NULL_LINE, NULL_LINE, tol))
@@ -703,6 +711,8 @@ EXPECTED = {
     'cones.tangent_cone_intersection[same]':
         ('raises', 'ValueError', 'degenerate: the two vertices coincide'),
     'cones.tangent_cone_intersection[tol]': NEGATIVE_TOL,
+    'cones.transform_line[map-dims]': SHAPE_4_NOT_3,
+    'cones.transform_line[overflow]': ('raises', 'ValueError', 'the image of the event overflows'),
     'minkowski.Metric[c=-1.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
     'minkowski.Metric[c=0.0]':
@@ -913,3 +923,9 @@ def test_decompose_refuses_every_non_finite_entry(value):
             bad = B.copy()
             bad[i, j] = value
             assert boost.is_isometry(bad, M4) is False
+
+
+def test_transform_line_refuses_an_overflowing_image_without_a_warning():
+    # the suite turns a RuntimeWarning into an error, so numpy may not warn on the way
+    with pytest.raises(ValueError, match="^the image of the event overflows$"):
+        cones.transform_line(HUGE3, FAR_LINE, M3)
