@@ -172,7 +172,7 @@ def _scaled_exactly(r, e):
 @settings(max_examples=300)
 def test_classify_is_unchanged_by_every_exact_power_of_two(r, null, c, e, tol):
     # the squares are 4^e times those of r, in or out of the float range; a null r
-    # has its time set so that the pair sits on or next to the band's edge
+    # has its time set so that it lies on the null cone up to rounding
     r = [r[0], r[1], r[2], math.hypot(*r[:3]) / c if null else r[3] / c]
     s = _scaled_exactly(r, e)
     assume(s is not None)
