@@ -6,8 +6,7 @@ boost matrix), ``radar`` (light-clock timeline as CSV), and ``classify``
 (causal class of an event pair).
 
 Exit codes: 0 success, 1 I/O or file-format errors, 2 domain errors
-(degenerate parameters, samples that overflow, hypothesis violations,
-failed recovery).
+(degenerate parameters, hypothesis violations, failed recovery).
 """
 
 from __future__ import annotations
@@ -195,7 +194,7 @@ def main(argv=None) -> int:
     except (SampleFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

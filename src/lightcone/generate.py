@@ -80,7 +80,7 @@ class GenerateConfig:
             raise ValueError(f"{self.kind} takes no noise; only noisy-lorentz does")
         if self.translation is not None and self.kind in ("cubing", "shear"):
             raise ValueError(f"{self.kind} is not affine and takes no translation")
-        if self.kind == "lorentz" and self.n != 4:
+        if self.kind in ("lorentz", "noisy-lorentz") and self.n != 4:
             raise ValueError("boost ground truths are four-dimensional")
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -79,15 +80,6 @@ class SampleSet:
             raise ValueError(f"y has shape {self.y.shape}, expected {self.x.shape}")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise ValueError("samples contain non-finite values")
-        # 16x each sum of the cone check stays finite: time weighted by max(1, c) bounds
-        # both its screen and its definition, and below 2^250 none exceeds n 2^502
-        w = max(1.0, c)
-        if w * float(max(np.abs(p).max(initial=0.0) for p in (self.x, self.y))) > 2.0 ** 250:
-            with np.errstate(over="ignore"):
-                norms = 16 * _centred(np.stack((self.x, self.y)), w)[1]
-            if not np.isfinite(norms).all():
-                raise OverflowError("samples overflow: a squared distance from the first "
-                                    "point exceeds 1/16 of the float range")
         grid = self.axis_grid
         for i in chain(*self.collinear, *self.parallel, grid.indices if grid else ()):
             if not 0 <= i < len(self.x):
@@ -121,6 +113,28 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.x)
+
+    @cached_property
+    def _units(self) -> tuple:  # ((x 2^kx, kx), (y 2^ky, ky)): the sides the checks read
+        return _unit(self.x, self.metric.c), _unit(self.y, self.metric.c)
+
+
+def _unit(p: np.ndarray, c: float) -> tuple[np.ndarray, int]:
+    # (p 2^k, k), exact but where an entry falls below the normal range.  The largest balanced
+    # magnitude m = max(|space|, c |t|) is in [2^(e-2), 2^e), c t never formed; k = 0 (p itself)
+    # for m in [2^-200, 2^200] and |t| < 2^510, else k = -e puts m in [1/4, 1).  Either way no
+    # square or sum of the checks overflows (d_t^2 included), nor the Gram matrix of the fit's M.
+    *space, t = np.abs(p).max(axis=0, initial=0.0).tolist()
+    es, et = (math.frexp(v)[1] if v else -math.inf for v in (max(space), t))
+    e = max(es, et + math.frexp(c)[1])
+    if e == -math.inf or (abs(e) <= 202 and t < 2.0 ** 510):
+        return p, 0
+    return np.ldexp(p, -e), -e
+
+
+def _ldexp(v, k: int):
+    with np.errstate(over="ignore"):  # v 2^k, inf past the float range, without a warning
+        return np.ldexp(v, k)
 
 
 def _trusted_samples(metric: Metric, x: np.ndarray, y: np.ndarray, collinear: tuple,
@@ -195,18 +209,13 @@ def _total_violations(cone: ConeCheck, coll: MarkerCheck, par: MarkerCheck) -> i
     return cone.violations + cone.bijectivity_violations + coll.violations + par.violations
 
 
-def _centred(p: np.ndarray, c: float):
-    # the rows of p (sides stacked on leading axes) about the first, in the balanced
-    # frame, where the metric is diag(1, ..., 1, -1), and each |q|^2
-    q = _frame(p - p[..., :1, :], c)
-    return q, np.einsum("...ij,...ij->...i", q, q)
-
-
 def _screens(s: SampleSet, tol: float) -> list:
-    # per side, the (rows, cols) operands of the matmuls L and R of check_cone_preservation
+    # per side, the (rows, cols) operands of the matmuls L and R of check_cone_preservation:
+    # the rows about the first in the balanced frame, metric diag(1, ..., 1, -1), and each |q|^2
     out = []
-    for p in (s.x, s.y):
-        q, S = _centred(p, s.metric.c)
+    for p, _ in s._units:
+        q = _frame(p - p[:1], s.metric.c)
+        S = np.einsum("ij,ij->i", q, q)
         Q = S - 2 * q[:, -1] ** 2
         t10 = 10 * tol
         slack = 8 * (p.shape[1] + 4) * (1 + t10)
@@ -246,7 +255,7 @@ def _near(screens: list, i0: int, i1: int) -> np.ndarray:
 def _pair_verdicts(s: SampleSet, i: np.ndarray, j: np.ndarray, tol: float):
     # the definition on the pairs (i[k], j[k]): the violating ones, their excess, two counts
     c2 = s.metric.c ** 2
-    (ax, bx, cx), (ay, by, cy) = (_pair_side(p, i, j, c2, tol) for p in (s.x, s.y))
+    (ax, bx, cx), (ay, by, cy) = (_pair_side(p, i, j, c2, tol) for p, _ in s._units)
     null_x, null_y = ax <= bx, ay <= by
     indet = (~null_x & (ax <= 10 * bx)) | (~null_y & (ay <= 10 * by))
     viol = (null_x != null_y) & ~indet
@@ -273,11 +282,11 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
     u (S_i + S_j).  So every pair the definition counts has |L| <= 10 tol
     |q_i - q_j|^2 + ((5n + 23) + 10 tol (5n + 30)) u (S_i + S_j), and
     K = 8 (n + 4) keeps it, tol = 0 included; K tiny (tiny = 2^-1022) covers
-    underflow, gradual or flushed.  SampleSet refuses samples whose sums
-    could overflow; a NaN keeps its pair.  The kept pairs go through the
-    definition itself (``_pair_side``) in row-major order, so the counts,
-    the worst pair (the first maximum) and the bits of ``worst_excess`` do
-    not depend on the BLAS.
+    underflow, gradual or flushed.  Each side is taken at its exact power of
+    two (``_unit``), where no sum can overflow; a NaN keeps its pair.  The
+    kept pairs go through the definition itself (``_pair_side``) in
+    row-major order, so the counts, the worst pair (the first maximum) and
+    the bits of ``worst_excess`` do not depend on the BLAS.
     """
     n_pts = len(s)
     if n_pts < 2:
@@ -312,9 +321,9 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
 
 
 def _marker_residual(p: np.ndarray, marker: tuple, c: float) -> float | None:
-    # a triple's line distance, or the sine of a quadruple's two segments, in the
-    # balanced frame; None where the line or a segment has zero squared length in floats
-    q = _frame(p[list(marker)], c)
+    # a triple's line distance, or the sine of a quadruple's two segments, in the balanced
+    # frame at the rows' own 2^k; None where a segment has zero squared length in floats
+    q = _frame(_unit(p[list(marker)], c)[0], c)
     u = q[1] - q[0]
     if len(marker) == 3:
         return _line_distance(q[2] - q[0], u) if u.dot(u) else None
@@ -351,6 +360,7 @@ def check_parallelism(s: SampleSet, tol: float = GEOMETRY_TOL) -> MarkerCheck:
 def fit_affine(s: SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
     """Least-squares affine model y = M x + a on homogeneous coordinates,
     columns equilibrated; the residual is the largest balanced |M x_i + a - y_i|.
+    Fitted on each side at its 2^k and scaled back (inf past the float range).
 
     Raises UnderdeterminedError when the samples do not affinely span R^n
     (rank decided on the unit-free equilibrated columns, against RANK_RTOL).
@@ -358,18 +368,19 @@ def fit_affine(s: SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
     n = s.metric.n
     if len(s) < n + 1:
         raise UnderdeterminedError(f"need at least {n + 1} samples, got {len(s)}")
-    X = np.hstack([s.x, np.ones((len(s), 1))])
+    (x, kx), (y, ky) = s._units
+    X = np.hstack([x, np.ones((len(s), 1))])
     col_norms = np.sqrt(np.einsum("ij,ij->j", X, X))
     d = np.where(col_norms > 0, col_norms, 1.0)
-    theta, _, rank, _ = np.linalg.lstsq(X / d, s.y, rcond=RANK_RTOL)
+    theta, _, rank, _ = np.linalg.lstsq(X / d, y, rcond=RANK_RTOL)
     if rank < n + 1:
         raise UnderdeterminedError("samples do not affinely span R^n")
     theta /= d[:, None]
     M = theta[:n].T
     a = theta[n]
-    r = _frame(s.x @ M.T + a - s.y, s.metric.c)
+    r = _frame(x @ M.T + a - y, s.metric.c)
     max_residual = math.sqrt(float(np.max(np.einsum("ij,ij->i", r, r))))
-    return M, a, max_residual
+    return _ldexp(M, kx - ky), _ldexp(a, -ky), float(_ldexp(max_residual, -ky))
 
 
 def induced_field_map_check(s: SampleSet, tol: float = GEOMETRY_TOL) -> FieldMapCheck:
@@ -389,7 +400,7 @@ def induced_field_map_check(s: SampleSet, tol: float = GEOMETRY_TOL) -> FieldMap
     if s.axis_grid is None:
         raise ValueError("the sample has no axis grid")
     grid = [float(g) for g in s.axis_grid.values]
-    y = dict(zip(grid, _frame(s.y[list(s.axis_grid.indices)], s.metric.c)))
+    y = dict(zip(grid, _frame(s._units[1][0][list(s.axis_grid.indices)], s.metric.c)))
     y0 = y[0.0]
     e = y[1.0] - y0
     ee = float(np.dot(e, e))
@@ -451,23 +462,22 @@ def recover_lorentz(
     coll = check_collinearity(s, geometry_tol)
     par = check_parallelism(s, geometry_tol)
 
-    failure = None
-    M = a = None
-    max_residual = math.inf
-    try:
-        M, a, max_residual = fit_affine(s)
+    failure, max_residual = None, math.inf
+    (x, kx), (y, ky) = s._units
+    try:  # fit and decompose at the checks' scale; the residual, alpha and a scaled back
+        M, a, max_residual = fit_affine(_trusted_samples(s.metric, x, y, (), (), None))
+        max_residual = float(_ldexp(max_residual, -ky))
+        alpha, L = decompose_conformal(M, s.metric, geometry_tol)
+        fitted = AffineLorentzMap(float(_ldexp(alpha, kx - ky)), L, _ldexp(a, -ky))
     except UnderdeterminedError as exc:
         failure = f"underdetermined: {exc}"
-
-    alpha = L = None
-    if M is not None:
-        try:
-            alpha, L = decompose_conformal(M, s.metric, geometry_tol)
-        except NotConformalError as exc:
-            failure = f"not-conformal: {exc}"
+    except NotConformalError as exc:
+        failure = f"not-conformal: {exc}"
+    except ValueError as exc:  # alpha or a beyond the float range in the file's units
+        failure = f"unrepresentable: {exc}"
 
     # the residual is in image units, so is its scale: the image diameter
-    diam = float(np.linalg.norm(_frame(s.y.max(axis=0) - s.y.min(axis=0), s.metric.c)))
+    diam = float(_ldexp(np.linalg.norm(_frame(y.max(axis=0) - y.min(axis=0), s.metric.c)), -ky))
     threshold = tol * diam if diam > 0 else tol
 
     counterexamples = _single_cone_audit(s, cone, geometry_tol)
@@ -478,7 +488,7 @@ def recover_lorentz(
 
     recovered = None
     if failure is None and _total_violations(cone, coll, par) == 0 and max_residual <= threshold:
-        recovered = AffineLorentzMap(alpha, L, a)
+        recovered = fitted
     return FitReport(
         cone=cone,
         collinearity=coll,

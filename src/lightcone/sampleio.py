@@ -101,8 +101,7 @@ def _indices(t, arity: int | None, what: str) -> tuple[int, ...]:
 def load_samples(path: str) -> tuple[SampleSet, dict]:
     """Read a sample file; returns the SampleSet and a metadata dict with
     ``seed`` and ``kind``.  Raises SampleFormatError on malformed input, a
-    marker whose domain fact does not hold (SampleSet) included, and
-    OverflowError (a domain error) on samples too large for the cone check.
+    marker whose domain fact does not hold (SampleSet) included.
     Other marker keys, such as the null-pair markers of older files, are
     ignored."""
     try:

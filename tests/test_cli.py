@@ -147,7 +147,7 @@ def test_verify_empty_sample_file_exit_two(tmp_path):
     (("--kind", "lorentz", "--alpha", "nan"), "samples contain non-finite values"),
     (("--kind", "lorentz", "--a", "nan,0,0,0"), "samples contain non-finite values"),
     (("--kind", "noisy-lorentz", "--noise", "inf"), "samples contain non-finite values"),
-    (("--kind", "lorentz", "--alpha", "1e300"), "samples overflow"),
+    (("--kind", "lorentz", "--alpha", "inf"), "samples contain non-finite values"),
     # images that overflow to inf are refused without numpy's overflow warning
     (("--kind", "lorentz", "--alpha", "1e308"), "samples contain non-finite values"),
     (("--kind", "noisy-lorentz", "--noise", "1e308"), "samples contain non-finite values"),
@@ -165,6 +165,9 @@ def test_generate_non_finite_or_overflowing_parameters_exit_two(tmp_path, flags,
     (("--kind", "shear", "--a", "1,2,3,4"), "shear is not affine and takes no translation"),
     (("--kind", "lorentz", "--noise", "5"), "lorentz takes no noise"),
     (("--kind", "translation", "--noise", "5"), "translation takes no noise"),
+    # the ground truth of both boost kinds is the 4 x 4 boost_x
+    (("--kind", "noisy-lorentz", "--n", "3", "--noise", "1e-9"), "boost ground truths are four-dimensional"),
+    (("--kind", "noisy-lorentz", "--n", "5"), "boost ground truths are four-dimensional"),
 ])
 def test_generate_refuses_a_parameter_its_kind_does_not_take(tmp_path, flags, message):
     out = tmp_path / "s.json"
@@ -357,8 +360,6 @@ FILE_FAULTS = {
     "parallel-index-changed": _edited("markers", "parallel", 0, 3, value=lambda i: i + 1),
     "grid-index-wrong-row": _edited("markers", "axis_grid", "indices", 0, value=lambda i: i + 1),
     "grid-axis-huge": _edited("markers", "axis_grid", "axis", 0, value=lambda v: 1e308),
-    # every coordinate and the grid's axis times 1e-170: a segment's squared length underflows
-    "coordinates-tiny": _scaled(1e-170),
 }
 
 
@@ -408,14 +409,50 @@ def test_verify_at_cone_tol_zero_writes_a_report(tmp_path, valid_sample_text):
     assert body["collinearity"]["checked"] == 4 and body["parallelism"]["checked"] == 3
 
 
+@pytest.mark.parametrize("k", [1e-170, 1e200])
+def test_verify_a_rescaled_valid_file_exits_zero(tmp_path, valid_sample_text, k):
+    # every coordinate and the grid's axis times k: each side is checked at its power of
+    # two, so a segment of length 1e-170 is measured and no squared distance overflows
+    f = tmp_path / "scaled.json"
+    f.write_bytes(_scaled(k)(valid_sample_text))
+    r = run_cli("verify", f)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stderr == ""
+
+
+def test_generate_and_verify_at_alpha_1e300(tmp_path):
+    f = tmp_path / "s.json"
+    r = run_cli("generate", "--kind", "lorentz", "--alpha", "1e300", "--out", f)
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    r = run_cli("verify", f)
+    assert r.returncode == 0 and r.stderr == "", r.stdout + r.stderr
+    alpha = float(r.stdout.split("recovered: alpha = ")[1].split()[0])
+    assert alpha == pytest.approx(1e300, rel=1e-15)
+
+
 def test_verify_overflowing_samples_exit_two_without_warning(tmp_path, valid_sample_text):
-    # 1e308 - mean is finite, its square is not: a domain error, named before
-    # any arithmetic can warn
+    # beside 1e308 the other points' differences fall to subnormals at that side's scale:
+    # the checks refuse the map, with no warning and no traceback
     bad = tmp_path / "huge.json"
     bad.write_bytes(_edited("pairs", 0, "x", 0, value=lambda v: 1e308)(valid_sample_text))
     r = run_cli("verify", bad)
     assert r.returncode == 2, r.stdout + r.stderr
-    assert r.stderr.startswith("error: samples overflow") and r.stderr.count("\n") == 1, r.stderr
+    assert r.stderr == "" and "recovered: none" in r.stdout, r.stdout + r.stderr
+
+
+def test_verify_a_map_beyond_the_float_range_exits_two(tmp_path, valid_sample_text):
+    # x times 1e-300 and y times 1e300 is a map of alpha near 1e600, which no float holds
+    payload = json.loads(valid_sample_text)
+    for pair in payload["pairs"]:
+        pair["x"], pair["y"] = [1e-300 * v for v in pair["x"]], [1e300 * v for v in pair["y"]]
+    grid = payload["markers"]["axis_grid"]
+    grid["axis"] = [1e-300 * v for v in grid["axis"]]
+    f = tmp_path / "beyond.json"
+    f.write_text(json.dumps(payload))
+    r = run_cli("verify", f)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert r.stderr == "" and "recovered: none" in r.stdout, r.stdout + r.stderr
+    assert "failure: unrepresentable: alpha must be nonzero and finite, got inf" in r.stdout
 
 
 @functools.lru_cache(maxsize=None)
@@ -448,7 +485,7 @@ def _mutations():
     # swapped for one of another type, a key or item deleted, or the text truncated
     paths = st.deferred(lambda: st.sampled_from(_paths()[0]))
     numbers = st.deferred(lambda: st.sampled_from(_paths()[1]))
-    extremes = st.sampled_from([1e308, -1e308, 1e-200, 5e-324, 0, -1]) | st.integers(-3, 80)
+    extremes = st.sampled_from([1e308, -1e308, 1e200, 1e-200, 5e-324, 0, -1]) | st.integers(-3, 80)
     swaps = st.sampled_from(["1", True, None, [], {}, 1.5])
     return st.one_of(
         st.tuples(st.just("set"), numbers, extremes),
@@ -485,6 +522,9 @@ def mutation_dir(tmp_path_factory):
 @example(mutation=("set", ("metric", "c"), 1e-200))
 @example(mutation=("set", ("markers", "parallel", 0, 3), 23))
 @example(mutation=("set", ("markers", "axis_grid", "indices", 0), 32))
+@example(mutation=("set", ("pairs", 0, "x", 0), 1e200))
+@example(mutation=("set", ("pairs", 1, "y", 3), -1e308))
+@example(mutation=("set", ("pairs", 1, "y", 3), 5e-324))
 def test_verify_of_a_mutated_file_exits_with_a_code(mutation_dir, mutation):
     # one field of a valid file changed: verify exits 0, 1 or 2, with no exception and
     # no warning (here an exception), and a changed marker is a file fault or harmless,

@@ -4,11 +4,13 @@ lambda times larger while c becomes lambda * c, leaves every null test, and
 every Euclidean test of the balanced frame, where it was."""
 
 import dataclasses
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lightcone import (
@@ -78,9 +80,10 @@ def test_classify_unchanged_by_the_unit_of_time(pair, c_new):
 def _samples(kind, c, seed, num_samples=40):
     """A generated sample; ``permuted`` scrambles a lorentz sample's images and
     ``time-perturbed`` adds to its image times noise of 1 % of their spread."""
-    own = kind in ("lorentz", "translation", "cubing", "shear")
+    own = kind not in ("permuted", "time-perturbed")
     cfg = GenerateConfig(kind=kind if own else "lorentz", c=c, v=0.6 * c,
-                         num_samples=num_samples, seed=seed)
+                         num_samples=num_samples, seed=seed,
+                         noise=1e-6 if kind == "noisy-lorentz" else 0.0)
     s, _ = make_samples(cfg)
     if kind == "permuted":
         return permute_images(s, seed)
@@ -187,3 +190,62 @@ def test_time_perturbation_refused_at_every_speed(c):
     assert rep.parallelism.violations == rep.parallelism.checked == 3
     assert rep.max_residual > rep.fit_threshold
     assert rep.recovered is None
+
+
+@functools.lru_cache(maxsize=None)
+def _sample_and_report(kind, c, seed):
+    s = _samples(kind, c, seed)
+    return s, recover_lorentz(s)
+
+
+def _exactly_scaled(s, ex, ey):
+    # x and the grid's axis times 2^ex, y times 2^ey; None where a product is not exact
+    grid = s.axis_grid
+    with np.errstate(over="ignore"):
+        x, axis, y = (np.ldexp(p, e) for p, e in ((s.x, ex), (grid.axis, ex), (s.y, ey)))
+    if not all(np.array_equal(np.ldexp(q, -e), p)
+               for q, p, e in ((x, s.x, ex), (axis, grid.axis, ex), (y, s.y, ey))):
+        return None
+    return SampleSet(s.metric, x, y, s.collinear, s.parallel,
+                     AxisGrid(axis, grid.values, grid.indices))
+
+
+def _ratios(rep):
+    # what a report states that is a ratio or a count: every bit of it is scale-free
+    L = None if rep.recovered is None else rep.recovered.L.tobytes()
+    return repr((rep.cone, rep.collinearity, rep.parallelism, rep.field_map, rep.failure,
+                 rep.single_cone_counterexamples)), L
+
+
+def _normal_equal(got, want):
+    # equal wherever the value is a normal float: a subnormal one has lost bits
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    normal = ~(np.abs(want) < sys.float_info.min)
+    return np.array_equal(got[normal], want[normal])
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(("lorentz", "translation", "cubing", "shear", "noisy-lorentz",
+                             "permuted")),
+       c=st.sampled_from(FOUR_SPEEDS), seed=st.integers(0, 1), e=st.integers(-1000, 1000),
+       sides=st.sampled_from(("xy", "x", "y")))
+@example(kind="lorentz", c=1.0, seed=0, e=700, sides="xy")
+@example(kind="lorentz", c=343.0, seed=1, e=-1000, sides="xy")
+@example(kind="lorentz", c=1.0, seed=0, e=900, sides="y")
+@example(kind="translation", c=2.99792458e8, seed=0, e=-900, sides="x")
+def test_report_unchanged_by_a_power_of_two_at_every_scale(kind, c, seed, e, sides):
+    # each side is checked at its own power of two, so an exact rescaling by 2^e anywhere in
+    # the float range changes no bit of any count, residual ratio, field map or L, and
+    # scales alpha, a, the residual and the fit threshold by exactly the powers it implies
+    s, want = _sample_and_report(kind, c, seed)
+    ex, ey = e * ("x" in sides), e * ("y" in sides)
+    scaled = _exactly_scaled(s, ex, ey)
+    assume(scaled is not None)
+    got = recover_lorentz(scaled)
+    assert _ratios(got) == _ratios(want)
+    with np.errstate(over="ignore"):
+        assert _normal_equal(got.max_residual, np.ldexp(want.max_residual, ey))
+        assert _normal_equal(got.fit_threshold, np.ldexp(want.fit_threshold, ey))
+        if want.recovered is not None:
+            assert _normal_equal(got.recovered.alpha, np.ldexp(want.recovered.alpha, ey - ex))
+            assert _normal_equal(got.recovered.a, np.ldexp(want.recovered.a, ey))
