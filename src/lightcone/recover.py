@@ -120,10 +120,9 @@ class SampleSet:
 
 
 def _unit(p: np.ndarray, c: float) -> tuple[np.ndarray, int]:
-    # (p 2^k, k), exact but where an entry falls below the normal range.  The largest balanced
-    # magnitude m = max(|space|, c |t|) is in [2^(e-2), 2^e), c t never formed; k = 0 (p itself)
-    # for m in [2^-200, 2^200] and |t| < 2^510, else k = -e puts m in [1/4, 1).  Either way no
-    # square or sum of the checks overflows (d_t^2 included), nor the Gram matrix of the fit's M.
+    # (p 2^k, k), exact but for subnormal results.  m = max(|space|, c |t|) is in [2^(e-2), 2^e), c t
+    # never formed; k = 0 (p itself) for m in [2^-200, 2^200] and |t| < 2^510, else k = -e puts m
+    # in [1/4, 1).  No square or sum of the checks overflows (d_t^2 included), nor the fit's M^T M.
     *space, t = np.abs(p).max(axis=0, initial=0.0).tolist()
     es, et = (math.frexp(v)[1] if v else -math.inf for v in (max(space), t))
     e = max(es, et + math.frexp(c)[1])
@@ -210,11 +209,10 @@ def _total_violations(cone: ConeCheck, coll: MarkerCheck, par: MarkerCheck) -> i
 
 
 def _screens(s: SampleSet, tol: float) -> list:
-    # per side, the (rows, cols) operands of the matmuls L and R of check_cone_preservation:
-    # the rows about the first in the balanced frame, metric diag(1, ..., 1, -1), and each |q|^2
+    # per side, the (rows, cols) operands of the matmuls L and R of check_cone_preservation
     out = []
     for p, _ in s._units:
-        q = _frame(p - p[:1], s.metric.c)
+        q = _frame(p - p[:1], s.metric.c)  # about the first row, balanced: eta = diag(1, ..., 1, -1)
         S = np.einsum("ij,ij->i", q, q)
         Q = S - 2 * q[:, -1] ** 2
         t10 = 10 * tol
@@ -454,7 +452,8 @@ def recover_lorentz(
 
     The recovered map is reported iff all violation counts are zero, the
     fit residual is within ``tol`` times the image diameter, and the
-    fitted matrix splits into a positive scale and a metric isometry.
+    fitted matrix splits into a positive scale and a metric isometry
+    whose scale and translation are floats in the file's units.
     ValueError, before any check runs, if ``tol`` is not in [0, inf).
     """
     _within(0.0, 0.0, tol)

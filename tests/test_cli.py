@@ -166,7 +166,8 @@ def test_generate_non_finite_or_overflowing_parameters_exit_two(tmp_path, flags,
     (("--kind", "lorentz", "--noise", "5"), "lorentz takes no noise"),
     (("--kind", "translation", "--noise", "5"), "translation takes no noise"),
     # the ground truth of both boost kinds is the 4 x 4 boost_x
-    (("--kind", "noisy-lorentz", "--n", "3", "--noise", "1e-9"), "boost ground truths are four-dimensional"),
+    (("--kind", "noisy-lorentz", "--n", "3", "--noise", "1e-9"),
+     "boost ground truths are four-dimensional"),
     (("--kind", "noisy-lorentz", "--n", "5"), "boost ground truths are four-dimensional"),
 ])
 def test_generate_refuses_a_parameter_its_kind_does_not_take(tmp_path, flags, message):
@@ -328,12 +329,12 @@ def _edited(*keys, value):
     return mutate
 
 
-def _scaled(k):
-    # the valid file with every coordinate and the axis-grid axis times k
+def _scaled(k, ky=None):
+    # the valid file with every coordinate and the axis-grid axis times k (y times ky if given)
     def mutate(text):
         payload = json.loads(text)
         for pair in payload["pairs"]:
-            pair["x"], pair["y"] = ([k * v for v in pair[key]] for key in "xy")
+            pair["x"], pair["y"] = ([s * v for v in pair[key]] for s, key in ((k, "x"), (ky or k, "y")))
         grid = payload["markers"]["axis_grid"]
         grid["axis"] = [k * v for v in grid["axis"]]
         return json.dumps(payload).encode()
@@ -442,13 +443,8 @@ def test_verify_overflowing_samples_exit_two_without_warning(tmp_path, valid_sam
 
 def test_verify_a_map_beyond_the_float_range_exits_two(tmp_path, valid_sample_text):
     # x times 1e-300 and y times 1e300 is a map of alpha near 1e600, which no float holds
-    payload = json.loads(valid_sample_text)
-    for pair in payload["pairs"]:
-        pair["x"], pair["y"] = [1e-300 * v for v in pair["x"]], [1e300 * v for v in pair["y"]]
-    grid = payload["markers"]["axis_grid"]
-    grid["axis"] = [1e-300 * v for v in grid["axis"]]
     f = tmp_path / "beyond.json"
-    f.write_text(json.dumps(payload))
+    f.write_bytes(_scaled(1e-300, 1e300)(valid_sample_text))
     r = run_cli("verify", f)
     assert r.returncode == 2, r.stdout + r.stderr
     assert r.stderr == "" and "recovered: none" in r.stdout, r.stdout + r.stderr

@@ -78,8 +78,9 @@ def test_classify_unchanged_by_the_unit_of_time(pair, c_new):
 
 
 def _samples(kind, c, seed, num_samples=40):
-    """A generated sample; ``permuted`` scrambles a lorentz sample's images and
-    ``time-perturbed`` adds to its image times noise of 1 % of their spread."""
+    """A generated sample, ``noisy-lorentz`` at noise 1e-6; ``permuted`` scrambles a
+    lorentz sample's images and ``time-perturbed`` adds to its image times noise of
+    1 % of their spread."""
     own = kind not in ("permuted", "time-perturbed")
     cfg = GenerateConfig(kind=kind if own else "lorentz", c=c, v=0.6 * c,
                          num_samples=num_samples, seed=seed,
