@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import DEFAULT_TOL, Metric, _balanced, _check_speed, _event, _finite, _within
+from .minkowski import (_TINY, DEFAULT_TOL, Metric, _balanced, _check_speed, _event, _finite,
+                        _ldexp, _pow2, _within)
 
 #: Velocities with |v| >= c * (1 - VELOCITY_MARGIN) are rejected: gamma diverges.
 VELOCITY_MARGIN = 1e-12
@@ -197,19 +198,23 @@ def inverse(m: AffineLorentzMap) -> AffineLorentzMap:
 
 def _balanced_gram(M: np.ndarray, m: Metric):
     # M^T eta M = lam eta is exactly G = Mb^T eta1 Mb = lam eta1, Mb = D M D^-1: O(gamma) for
-    # boosts, with no c^2 amplified noise.  Returns M and flat G, S = |Mb|^T |Mb| and eta1.
-    M = np.asarray(M, dtype=float)  # the one check of a public matrix argument
+    # boosts, with no c^2 amplified noise.  Returns M, flat G, S = |Mb|^T |Mb| and eta1 of M 2^k,
+    # and k: where a square may leave the range, _pow2's of M (so Mb cannot overflow) and of Mb
+    M, c, k = np.asarray(M, dtype=float), m.c, 0  # the one check of a public matrix argument
     if M.shape != (m.n, m.n):
         raise ValueError(f"matrix has shape {M.shape}, expected ({m.n}, {m.n})")
-    Mb = _balanced(M, m.c)
-    if not _finite(Mb.ravel().tolist()):  # NaN is refused quietly, inf * 0 warns
-        Mb[:] = math.nan
+    h, w = math.hypot(*M.ravel().tolist()), c + 1 / c  # |Mb| is in [h / w, h w]
+    if not (_TINY <= (h / w) * (h / w) and (h * w) * (h * w) < math.inf):
+        M = M if _finite(M.ravel().tolist()) else np.full_like(M, math.nan)  # inf * 0 warns
+        k = _pow2(float(np.abs(M).max()), 0.0, 1.0)  # h itself may overflow
+        k += _pow2(math.hypot(*_balanced(np.ldexp(M, k), c).ravel().tolist()), 0.0, c)
+    Mb = _balanced(np.ldexp(M, k) if k else M, c)
     H = Mb.copy()
     time_row = H[-1]
     time_row *= -1.0  # H = eta1 Mb, in place like minkowski._balanced
     A = np.abs(Mb)
     eta1 = ([1.0] + [0.0] * m.n) * (m.n - 1) + [-1.0]  # diag(1, ..., 1, -1), flat
-    return M, Mb.T.dot(H).ravel().tolist(), A.T.dot(A).ravel().tolist(), eta1
+    return M, Mb.T.dot(H).ravel().tolist(), A.T.dot(A).ravel().tolist(), eta1, k
 
 
 def _median(xs: list) -> float:
@@ -224,8 +229,8 @@ def is_isometry(L, m: Metric, tol: float = DEFAULT_TOL) -> bool:
     """True iff L^T eta L = eta entrywise, relative to the magnitude of the
     products forming each entry (evaluated in the metric-balanced frame)."""
     _within(0.0, 0.0, tol)  # refuses a bad tol before the matrix is checked
-    _, G, S, eta1 = _balanced_gram(L, m)
-    return not _off_band(G, S, eta1, 1.0, tol)
+    _, G, S, eta1, k = _balanced_gram(L, m)  # G = eta1 of L 2^k is 2^2k eta1
+    return not _off_band(G, S, eta1, float(_ldexp(1.0, 2 * k)) if k else 1.0, tol)
 
 
 def _off_band(G: list, S: list, eta1: list, lam: float, tol: float) -> list:
@@ -247,13 +252,13 @@ def decompose_conformal(M, m: Metric, tol: float = DEFAULT_TOL) -> tuple[float, 
     proportional to eta, SignatureError when the factor is non-positive.
     """
     _within(0.0, 0.0, tol)  # refuses a bad tol before the matrix is checked
-    M, G, S, eta1 = _balanced_gram(M, m)
+    M, G, S, eta1, k = _balanced_gram(M, m)
     lam = _median([*G[:-1:m.n + 1], -G[-1]])  # the diagonal of G over that of eta1
     worst = _off_band(G, S, eta1, lam, tol)
     if worst:
         raise NotConformalError("M^T eta M is not proportional to eta (worst relative deviation "
                                 f"{math.nan if any(map(math.isnan, worst)) else max(worst):.3e})")
     if lam <= 0:
-        raise SignatureError(f"conformal factor is non-positive ({lam:.6g})")
-    alpha = math.sqrt(lam)
+        raise SignatureError(f"conformal factor is non-positive ({_ldexp(lam, -2 * k):.6g})")
+    alpha = math.ldexp(math.sqrt(lam), -k) if k else math.sqrt(lam)
     return alpha, M / alpha

@@ -18,9 +18,9 @@ from sys import float_info
 import numpy as np
 
 from .boost import apply
-from .minkowski import (_LIGHTLIKE, _SPACELIKE, _TIMELIKE, DEFAULT_TOL, CausalClass, Metric,
-                        _abs_inner, _classify, _dot, _event, _frame, _inner, _line_distance,
-                        _minus, _within, as_event)
+from .minkowski import (_LIGHTLIKE, _SPACELIKE, _TIMELIKE, _TINY, DEFAULT_TOL, CausalClass,
+                        Metric, _abs_inner, _at_pow2, _classify, _dot, _event, _frame, _inner,
+                        _ldexp, _line_distance, _minus, _within, as_event)
 
 _EPS = float_info.epsilon
 
@@ -75,9 +75,9 @@ def classify_span(u, v, m: Metric, tol: float = DEFAULT_TOL) -> CausalClass:
 
 
 def _span(u, v, c: float) -> tuple:
-    # one walk over the spatial coordinates sums what _sine(_frame(u, c), _frame(v, c)) and
-    # the _inner and _abs_inner of (u, u), (v, v), (u, v) sum, in their order.  Returns that
-    # sine, the Gram determinant, its scale, fu, fv, fv.fv and r = fu less its part along fv
+    # one walk sums what _sine(_frame(u, c), _frame(v, c)) and _inner, _abs_inner of (u, u),
+    # (v, v), (u, v) sum, in order, of u 2^ku, v 2^kv (k = 0 unless a square left the range).
+    # Returns that sine, the Gram determinant, its scale, fu, fv, fv.fv, r = fu - fv's part, ku, kv
     us, ut, vs, vt = u[:-1], u[-1], v[:-1], v[-1]
     uu = vv = uv = auv = 0.0
     for a, b in zip(us, vs):
@@ -95,8 +95,13 @@ def _span(u, v, c: float) -> tuple:
         sine = math.hypot(*r) / math.sqrt(fuu)
     guv = uv - c2 * (ut * vt)
     det = (uu - c2 * (ut * ut)) * (vv - c2 * (vt * vt)) - guv * guv
-    scale = (uu + c2 * (ut * ut)) * (vv + c2 * (vt * vt)) + (auv + c2 * abs(ut * vt)) ** 2
-    return sine, det, scale, fu, fv, fvv, r
+    auv += c2 * abs(ut * vt)  # _abs_inner(u, v), squared as a product: ** 2 can raise
+    scale = (uu + c2 * (ut * ut)) * (vv + c2 * (vt * vt)) + auv * auv
+    if not (fuu >= _TINY * (1.0 + c2) <= fvv and _TINY <= scale < math.inf):
+        (u, ku), (v, kv) = _at_pow2(u, c), _at_pow2(v, c)
+        if ku or kv:
+            return (*_span(u, v, c)[:7], ku, kv)
+    return sine, det, scale, fu, fv, fvv, r, 0, 0
 
 
 def _span_class(sine: float, det: float, scale: float, tol: float) -> CausalClass:
@@ -230,14 +235,23 @@ def intersect_planes(p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL) 
     plane n . x = h has the normal a = n D^-1: the point is the least-squares
     one of minimum norm, ((h1 a2 - h2 a1) x (a1 x a2)) / |a1 x a2|^2."""
     n1, n2, ic = _euclid_normal(p1, m), _euclid_normal(p2, m), 1 / m.c
-    sine, _, _, a1, a2, _, _ = _span(n1, n2, ic)  # a = n D^-1 is the frame of 1 / c
+    sine, _, _, a1, a2, _, _, k1, k2 = _span(n1, n2, ic)  # a = n D^-1 is the frame of 1 / c
+    if k1 or k2 or not sine > 0:  # a normal left the range: of its span vectors at their 2^k
+        n1, n2 = (_cross(*(_at_pow2(_event(w, m)[1], m.c)[0] for w in p.span)) for p in (p1, p2))
+        sine, _, _, a1, a2, _, _, k1, k2 = _span(n1, n2, ic)
+        n1, n2 = _ldexp(n1, k1).tolist(), _ldexp(n2, k2).tolist()  # at the 2^k of a, as is h
     if _within(sine, 1.0, tol):
         raise ValueError("planes are parallel or identical: no unique line")
-    h1, h2 = _dot(n1, p1.point.tolist()), _dot(n2, p2.point.tolist())
+    q1, q2, kq = p1.point.tolist(), p2.point.tolist(), 0
+    h1, h2 = _dot(n1, q1), _dot(n2, q2)
+    if not _TINY <= abs(h1) + abs(h2) < math.inf and (h1 or h2):  # both points at one 2^kq
+        (q1, q2), kq = _at_pow2([q1, q2], m.c)
+        h1, h2 = _dot(n1, q1), _dot(n2, q2)
     x, y, z = _cross(a1, a2)  # n, by components
     k = math.hypot(x, y, z)  # |n|, divided by twice: |n|^2 underflows for spans below ~1e-37
     x, y, z = _cross([h1 * b - h2 * a for a, b in zip(a1, a2)], [x / k, y / k, z / k])
-    return line_through([x / k, y / k, z / k * ic], _cross(n1, n2), m, tol)
+    point = [x / k, y / k, z / k * ic]
+    return line_through(_ldexp(point, -kq) if kq else point, _cross(n1, n2), m, tol)
 
 
 def intersect_null_planes(p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL) -> Line:
@@ -261,11 +275,12 @@ def plane_through_lines(l1: Line, l2: Line, m: Metric, tol: float = DEFAULT_TOL)
     an absolute allowance of 4 eps of the larger point for the rounding the
     given points were built with."""
     (u, ul), (v, vl) = _event(l1.direction, m), _event(l2.direction, m)
-    sine, det, scale, d1, d2, dd, r1 = _span(ul, vl, m.c)
+    sine, det, scale, d1, d2, dd, r1, ku, _ = _span(ul, vl, m.c)
     if _within(sine, 1.0, tol):
         raise ValueError("lines are parallel or collinear: no unique plane")
     causal_class = _span_class(sine, det, scale, tol)  # sine > 1e-6 from here on
     (p1, q1), q2 = _event(l1.point, m), _event(l2.point, m)[1]
+    q1, q2 = _ldexp([q1, q2], ku).tolist() if ku else (q1, q2)  # at d1's 2^ku: t is unchanged
     w = _frame(list(map(sub, q2, q1)), m.c)
     rw = _minus(w, d2, _dot(w, d2) / dd)  # r1 is d1 less its part along d2, from _span
     t = _dot(r1, rw) / _dot(r1, r1)

@@ -13,8 +13,8 @@ The exact trichotomy (zero / positive / negative squared interval) is
 replaced by the one null band of the package: a metric product
 ``q = inner(r, s)`` is null iff ``|q| <= tol * abs_inner(r, s)``.  For a
 separation d the scale is ``|d_space|^2 + c^2 d_t^2``, with no floor: an exact zero is null
-as 0 <= 0, and neither rescaling the events to any float (a square that leaves the normal
-range is taken again of d 2^k) nor trading the time unit against ``c`` changes a class.
+as 0 <= 0.  Rescaling the events to any float (each kernel takes its vectors at the exact power
+of two of ``_pow2``, the one scale rule) or trading the time unit against ``c`` changes no class.
 
 Every Euclidean test is taken in the one balanced frame ``x D`` (``_frame``;
 ``_balanced`` is D M D^-1), D = diag(1, ..., 1, c), where the form is
@@ -37,7 +37,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from math import frexp, inf, isfinite, ldexp
+from math import frexp, inf, isfinite
 from operator import mul, sub
 from sys import float_info
 
@@ -175,15 +175,33 @@ def _line_distance(w, d) -> float:
     return math.hypot(*_minus(w, d, wd / dd)) / max(math.sqrt(ww), math.sqrt(dd), side)
 
 
+def _pow2(s: float, t: float, c: float) -> int:
+    # the one scale rule: k puts max(s, c t), s and t the largest |space| and |time|, at
+    # 2^(ec // 4), c in [2^(ec-1), 2^ec), where every square and product of two is normal for
+    # each c _check_speed admits; c t is never formed.  k = 0 within 2^100 of there
+    ec = frexp(c)[1]
+    k = ec // 4 - max(frexp(s)[1] if s else -inf, frexp(t)[1] + ec if t else -inf)
+    return k if 100 < abs(k) < inf and isfinite(s) and isfinite(t) else 0
+
+
+def _ldexp(v, k: int):
+    with np.errstate(over="ignore"):  # v 2^k, inf past the float range, without a warning
+        return np.ldexp(v, k)
+
+
+def _at_pow2(p, c: float) -> tuple:
+    # (p 2^k, k), k = _pow2 of p's largest |space| and |t|, p a list or an array of rows (k = 0: p)
+    *space, t = np.abs(np.atleast_2d(p)).max(axis=0, initial=0.0).tolist()
+    k = _pow2(max(space), t, c)
+    q = np.ldexp(p, k) if k else p
+    return (q.tolist() if k and isinstance(p, list) else q), k
+
+
 def _classify(d, c: float, tol: float) -> CausalClass:
     c2 = c ** 2
     space, time = sum(map(mul, d[:-1], d[:-1])), c2 * (d[-1] * d[-1])
     if not _TINY * (1.0 + c2) <= space + time < inf and any(d):
-        # a square that counts left the normal range (d_t^2 can, for c > 1): square d 2^k,
-        # exactly, with k putting the largest component of d D near sqrt(c) (c d_t may overflow)
-        s, t, ec = max(map(abs, d[:-1])), d[-1], frexp(c)[1]
-        k = ec // 2 - max(frexp(s)[1] if s else -inf, frexp(t)[1] + ec if t else -inf)
-        d = [ldexp(x, k) for x in d]
+        d = _at_pow2(d, c)[0]  # a square left the normal range
         space, time = sum(map(mul, d[:-1], d[:-1])), c2 * (d[-1] * d[-1])
     iv = space - time
     if _within(iv, space + time, tol):

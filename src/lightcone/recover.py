@@ -20,7 +20,8 @@ from itertools import chain
 import numpy as np
 
 from .boost import AffineLorentzMap, NotConformalError, decompose_conformal
-from .minkowski import DEFAULT_TOL, Metric, _frame, _line_distance, _minus, _sine, _within
+from .minkowski import (DEFAULT_TOL, Metric, _at_pow2, _frame, _ldexp, _line_distance, _minus,
+                        _sine, _within)
 
 #: Relative geometric tolerance shared by the pairwise and marker checks.
 GEOMETRY_TOL = DEFAULT_TOL
@@ -115,25 +116,25 @@ class SampleSet:
         return len(self.x)
 
     @cached_property
-    def _units(self) -> tuple:  # ((x 2^kx, kx), (y 2^ky, ky)): the sides the checks read
-        return _unit(self.x, self.metric.c), _unit(self.y, self.metric.c)
+    def _units(self) -> tuple:  # ((x 2^kx, kx), (y 2^ky, ky)): the sides the checks and fit read
+        return _at_pow2(self.x, self.metric.c), _at_pow2(self.y, self.metric.c)
 
-
-def _unit(p: np.ndarray, c: float) -> tuple[np.ndarray, int]:
-    # (p 2^k, k), exact but for subnormal results.  m = max(|space|, c |t|) is in [2^(e-2), 2^e), c t
-    # never formed; k = 0 (p itself) for m in [2^-200, 2^200] and |t| < 2^510, else k = -e puts m
-    # in [1/4, 1).  No square or sum of the checks overflows (d_t^2 included), nor the fit's M^T M.
-    *space, t = np.abs(p).max(axis=0, initial=0.0).tolist()
-    es, et = (math.frexp(v)[1] if v else -math.inf for v in (max(space), t))
-    e = max(es, et + math.frexp(c)[1])
-    if e == -math.inf or (abs(e) <= 202 and t < 2.0 ** 510):
-        return p, 0
-    return np.ldexp(p, -e), -e
-
-
-def _ldexp(v, k: int):
-    with np.errstate(over="ignore"):  # v 2^k, inf past the float range, without a warning
-        return np.ldexp(v, k)
+    @cached_property
+    def _fit(self) -> tuple:  # fit_affine's M, a and residual before they are scaled back
+        (x, _), (y, _) = self._units
+        n = self.metric.n
+        if len(x) < n + 1:
+            raise UnderdeterminedError(f"need at least {n + 1} samples, got {len(x)}")
+        X = np.hstack([x, np.ones((len(x), 1))])
+        col_norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+        d = np.where(col_norms > 0, col_norms, 1.0)
+        theta, _, rank, _ = np.linalg.lstsq(X / d, y, rcond=RANK_RTOL)
+        if rank < n + 1:
+            raise UnderdeterminedError("samples do not affinely span R^n")
+        theta /= d[:, None]
+        M, a = theta[:n].T, theta[n]
+        r = _frame(x @ M.T + a - y, self.metric.c)
+        return M, a, math.sqrt(float(np.max(np.einsum("ij,ij->i", r, r))))
 
 
 def _trusted_samples(metric: Metric, x: np.ndarray, y: np.ndarray, collinear: tuple,
@@ -281,7 +282,7 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
     |q_i - q_j|^2 + ((5n + 23) + 10 tol (5n + 30)) u (S_i + S_j), and
     K = 8 (n + 4) keeps it, tol = 0 included; K tiny (tiny = 2^-1022) covers
     underflow, gradual or flushed.  Each side is taken at its exact power of
-    two (``_unit``), where no sum can overflow; a NaN keeps its pair.  The
+    two (``minkowski._at_pow2``), where no sum can overflow; a NaN keeps its pair.  The
     kept pairs go through the definition itself (``_pair_side``) in
     row-major order, so the counts, the worst pair (the first maximum) and
     the bits of ``worst_excess`` do not depend on the BLAS.
@@ -321,7 +322,7 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
 def _marker_residual(p: np.ndarray, marker: tuple, c: float) -> float | None:
     # a triple's line distance, or the sine of a quadruple's two segments, in the balanced
     # frame at the rows' own 2^k; None where a segment has zero squared length in floats
-    q = _frame(_unit(p[list(marker)], c)[0], c)
+    q = _frame(_at_pow2(p[list(marker)], c)[0], c)
     u = q[1] - q[0]
     if len(marker) == 3:
         return _line_distance(q[2] - q[0], u) if u.dot(u) else None
@@ -363,21 +364,8 @@ def fit_affine(s: SampleSet) -> tuple[np.ndarray, np.ndarray, float]:
     Raises UnderdeterminedError when the samples do not affinely span R^n
     (rank decided on the unit-free equilibrated columns, against RANK_RTOL).
     """
-    n = s.metric.n
-    if len(s) < n + 1:
-        raise UnderdeterminedError(f"need at least {n + 1} samples, got {len(s)}")
-    (x, kx), (y, ky) = s._units
-    X = np.hstack([x, np.ones((len(s), 1))])
-    col_norms = np.sqrt(np.einsum("ij,ij->j", X, X))
-    d = np.where(col_norms > 0, col_norms, 1.0)
-    theta, _, rank, _ = np.linalg.lstsq(X / d, y, rcond=RANK_RTOL)
-    if rank < n + 1:
-        raise UnderdeterminedError("samples do not affinely span R^n")
-    theta /= d[:, None]
-    M = theta[:n].T
-    a = theta[n]
-    r = _frame(x @ M.T + a - y, s.metric.c)
-    max_residual = math.sqrt(float(np.max(np.einsum("ij,ij->i", r, r))))
+    (_, kx), (_, ky) = s._units
+    M, a, max_residual = s._fit
     return _ldexp(M, kx - ky), _ldexp(a, -ky), float(_ldexp(max_residual, -ky))
 
 
@@ -462,12 +450,11 @@ def recover_lorentz(
     par = check_parallelism(s, geometry_tol)
 
     failure, max_residual = None, math.inf
-    (x, kx), (y, ky) = s._units
-    try:  # fit and decompose at the checks' scale; the residual, alpha and a scaled back
-        M, a, max_residual = fit_affine(_trusted_samples(s.metric, x, y, (), (), None))
-        max_residual = float(_ldexp(max_residual, -ky))
-        alpha, L = decompose_conformal(M, s.metric, geometry_tol)
-        fitted = AffineLorentzMap(float(_ldexp(alpha, kx - ky)), L, _ldexp(a, -ky))
+    (_, kx), (y, ky) = s._units
+    try:  # M decomposed as fitted, at the checks' scale (s._fit), and alpha scaled back
+        _, a, max_residual = fit_affine(s)
+        alpha, L = decompose_conformal(s._fit[0], s.metric, geometry_tol)
+        fitted = AffineLorentzMap(float(_ldexp(alpha, kx - ky)), L, a)
     except UnderdeterminedError as exc:
         failure = f"underdetermined: {exc}"
     except NotConformalError as exc:

@@ -352,16 +352,17 @@ def test_balanced_gram_is_the_matmul_form_bit_for_bit(entries, c):
     # bits of the double-transposed frame and of Mb^T eta1 Mb and |Mb|^T |Mb| by
     # matmul, so decompose_conformal and every verify report keep theirs.  A zero
     # is compared without its sign (an underflowed product can carry either), which
-    # no caller reads: each takes |G - lam eta1|, and _median adds 0.0.
+    # no caller reads: each takes |G - lam eta1|, and _median adds 0.0.  G and S are
+    # those of M 2^k, k the kernel's power of two (0 unless a square leaves the range)
     M = np.array(entries).reshape(4, 4)
-    Mb = _frame(_frame(M.T, c).T, 1 / c)
+    _, G, S, eta, k = _balanced_gram(M, Metric(4, c))
+    Mb = _frame(_frame(np.ldexp(M, k).T, c).T, 1 / c)
     eta1 = np.diag([1.0, 1.0, 1.0, -1.0])
-    _, G, S, eta = _balanced_gram(M, Metric(4, c))
 
     def bits(xs):
         return [(float(x) + 0.0).hex() for x in np.ravel(xs)]
 
-    assert bits(_balanced(M, c)) == bits(Mb)
+    assert bits(_balanced(np.ldexp(M, k), c)) == bits(Mb)
     assert bits(G) == bits(Mb.T @ eta1 @ Mb)
     assert bits(S) == bits(np.abs(Mb).T @ np.abs(Mb))
     assert eta == eta1.ravel().tolist()

@@ -100,13 +100,16 @@ def _old_median(xs):
     return math.nan if any(x != x for x in xs) else mid
 
 
-def _old_is_isometry(L, m, tol):
-    G, S, eta1 = _old_gram(L, m)
-    return all(abs(g - e) <= tol * (s if s > 1.0 else 1.0) for g, e, s in zip(G, eta1, S))
+def _old_is_isometry(L, m, tol, k=0):
+    # of L 2^k, whose Gram is 2^2k eta for an isometry L
+    G, S, eta1 = _old_gram(np.ldexp(L, k), m)
+    lam = float(np.ldexp(1.0, 2 * k))
+    return all(abs(g - lam * e) <= tol * (s if s > lam else lam) for g, e, s in zip(G, eta1, S))
 
 
-def _old_decompose_conformal(M, m, tol):
-    G, S, eta1 = _old_gram(M, m)
+def _old_decompose_conformal(M, m, tol, k=0):
+    # of M 2^k, the factor scaled back
+    G, S, eta1 = _old_gram(np.ldexp(M, k), m)
     lam = _old_median([g / e for g, e in zip(G[::m.n + 1], eta1[::m.n + 1])])
     floor = abs(lam)
     if not all(abs(g - lam * e) <= tol * (s if s > floor else floor)
@@ -117,8 +120,8 @@ def _old_decompose_conformal(M, m, tol):
             "M^T eta M is not proportional to eta (worst relative deviation "
             f"{math.nan if any(w != w for w in worst) else max(worst):.3e})")
     if lam <= 0:
-        raise boost.SignatureError(f"conformal factor is non-positive ({lam:.6g})")
-    alpha = math.sqrt(lam)
+        raise boost.SignatureError(f"conformal factor is non-positive ({np.ldexp(lam, -2 * k):.6g})")
+    alpha = math.ldexp(math.sqrt(lam), -k)
     return alpha, M / alpha
 
 
@@ -232,9 +235,13 @@ def test_compose_inverse_apply_are_the_old_maps(c, data):
 @example(Mm=(np.zeros((4, 4)), Metric(4, SI)), tol=1e-9)
 @example(Mm=(np.array([[0.0, 1.0], [1.0, 0.0]]), Metric(2, 1.0)), tol=1e-9)
 def test_isometry_and_decomposition_are_the_old_ones(Mm, tol):
+    # the old functions of M 2^k, k the kernel's power of two (0 unless a square of
+    # D M D^-1 may leave the normal range)
     M, m = Mm
-    _same(boost.is_isometry, _old_is_isometry, M, m, tol)
-    _same(boost.decompose_conformal, _old_decompose_conformal, M, m, tol)
+    k = boost._balanced_gram(M, m)[-1]
+    _same(lambda: boost.is_isometry(M, m, tol), lambda: _old_is_isometry(M, m, tol, k))
+    _same(lambda: boost.decompose_conformal(M, m, tol),
+          lambda: _old_decompose_conformal(M, m, tol, k))
 
 
 @given(e=st.floats(min_value=-160.0, max_value=160.0), beta=_beta)

@@ -421,6 +421,23 @@ def test_verify_a_rescaled_valid_file_exits_zero(tmp_path, valid_sample_text, k)
     assert r.stderr == ""
 
 
+def test_verify_at_c_1e150_holds_at_a_power_of_two(tmp_path):
+    # the side's power of two is taken for its c: at c = 1e150 the file times 2^-100 kept
+    # k = 0, and the time column's squares underflowed in the fit ("underdetermined")
+    f = tmp_path / "c-1e150.json"
+    r = run_cli("generate", "--kind", "lorentz", "--c", "1e150", "--v", "6e149", "--seed", 1,
+                "--num-samples", 200, "--out", f)
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+    reports = []
+    for k, name in ((1.0, "unscaled"), (2.0 ** -100, "scaled")):
+        g = tmp_path / f"{name}.json"
+        g.write_bytes(_scaled(k)(f.read_text()))
+        r = run_cli("verify", g)
+        assert r.returncode == 0 and r.stderr == "", r.stdout + r.stderr
+        reports.append(r.stdout.split("max residual")[0])
+    assert reports[0] == reports[1]  # every count and field-map error
+
+
 def test_generate_and_verify_at_alpha_1e300(tmp_path):
     f = tmp_path / "s.json"
     r = run_cli("generate", "--kind", "lorentz", "--alpha", "1e300", "--out", f)

@@ -15,16 +15,27 @@ from hypothesis import strategies as st
 
 from lightcone import (
     AxisGrid,
+    BoostParams,
     CausalClass,
     GenerateConfig,
+    Line,
     Metric,
+    Plane,
     SampleSet,
+    boost_x,
     check_cone_preservation,
     classify,
+    classify_span,
+    decompose_conformal,
+    intersect_planes,
+    is_isometry,
     make_samples,
     permute_images,
+    plane_through,
+    plane_through_lines,
     recover_lorentz,
 )
+from lightcone.minkowski import _frame
 
 SPEEDS = (1e-3, 0.1, 1.0, 343.0, 2.99792458e8)
 FOUR_SPEEDS = SPEEDS[1:]
@@ -250,3 +261,118 @@ def test_report_unchanged_by_a_power_of_two_at_every_scale(kind, c, seed, e, sid
         if want.recovered is not None:
             assert _normal_equal(got.recovered.alpha, np.ldexp(want.recovered.alpha, ey - ex))
             assert _normal_equal(got.recovered.a, np.ldexp(want.recovered.a, ey))
+
+
+# -- the one scale rule: every kernel at an exact power of two ------------------
+
+#: the four README speeds and two at which the balanced frame is far from the raw one
+SCALE_SPEEDS = FOUR_SPEEDS + (1e-150, 1e150)
+
+# coordinates of 0 or at least 1e-12 in magnitude: at c = 1e-150 the raw time of a vector is
+# 1e150 times its balanced one, so a normal (u x v) with components 1e-300 times the others
+# spans more than the float range at any power of two, and its smallest is lost to subnormals
+_coord = st.floats(-10.0, 10.0).filter(lambda x: x == 0 or abs(x) >= 1e-12)
+_vec3 = st.lists(_coord, min_size=3, max_size=3).map(np.array)
+
+
+def _normal(*vs):
+    # every entry a normal float or zero
+    return all(np.all((v == 0) | ((np.abs(v) >= sys.float_info.min) & np.isfinite(v))) for v in vs)
+
+
+def _times_2(e, *vs):
+    # each array times 2^e, or None unless the arrays and the products are normal (or zero)
+    # and every product is exact
+    with np.errstate(over="ignore"):
+        out = [np.ldexp(v, e) for v in vs]
+    exact = all(np.array_equal(np.ldexp(o, -e), v) for o, v in zip(out, vs))
+    return out if exact and _normal(*vs, *out) else None
+
+
+def _kernel_outcomes(m, p, u, v, q, w, z, a, b):
+    # a class, a line's or plane's (class, point), or the refusal's message
+    def outcome(fn, *args):
+        try:
+            got = fn(*args, m)
+        except ValueError as exc:
+            return str(exc)
+        return got if isinstance(got, CausalClass) else (got.causal_class, got.point)
+
+    CC = CausalClass
+    return [outcome(classify_span, u, v), outcome(plane_through, p, u, v),
+            outcome(plane_through_lines, Line(a, u, CC.SPACELIKE), Line(b, v, CC.SPACELIKE)),
+            outcome(intersect_planes, Plane(p, (u, v), CC.LIGHTLIKE), Plane(q, (w, z), CC.LIGHTLIKE))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(c=st.sampled_from(SCALE_SPEEDS), vs=st.lists(_vec3, min_size=6, max_size=6),
+       e=st.integers(-1000, 1000))
+@example(c=1.0, vs=[np.array(x) for x in ([0.5, -0.25, 0.75], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                          [1.0, 2.0, 3.0], [0.0, 2.0, 1.0], [-2.0, 0.0, 0.0])],
+         e=665)
+@example(c=1e150, vs=[np.array(x) for x in ([0.5, -0.25, 0.75], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                                            [1.0, 2.0, 3.0], [0.0, 2.0, 1.0], [-2.0, 0.0, 0.0])],
+         e=-100)
+@example(c=343.0, vs=[np.array(x) for x in ([0.5, -0.25, 0.75], [0.0, 2.0, 1.0], [-2.0, 0.0, 0.0],
+                                            [0.5, -0.25, 0.75], [0.0, -2.0, 1.0], [2.0, 0.0, 0.0])],
+         e=-1009)
+def test_cone_kernels_unchanged_by_a_power_of_two(c, vs, e):
+    # every input, drawn in the balanced frame, times 2^e: each kernel takes its vectors at
+    # minkowski._pow2's power of two, so no class or refusal changes and every returned
+    # point is 2^e times the unscaled one, bit for bit (where that is a normal float)
+    m = Metric(3, c)
+    p, u, v, q, w, z = (_frame(x, 1 / c) for x in vs)
+    inputs = [p, u, v, q, w, z, p - 2 * u, p + 3 * v]  # the lines (p - 2u, u), (p + 3v, v) meet
+    scaled = _times_2(e, *inputs)
+    assume(scaled is not None)
+    for got, want in zip(_kernel_outcomes(m, *scaled), _kernel_outcomes(m, *inputs)):
+        if not isinstance(want, tuple):
+            assert got == want
+            continue
+        point = _times_2(e, want[1])
+        assume(point is not None)
+        assert isinstance(got, tuple) and got[0] is want[0]
+        assert np.array_equal(got[1], point[0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(c=st.sampled_from(SCALE_SPEEDS),
+       beta=st.floats(-0.99, 0.99, allow_subnormal=False), alpha=st.floats(0.1, 10.0),
+       e=st.integers(-1000, 1000))
+@example(c=343.0, beta=0.6, alpha=1.0, e=-665)
+@example(c=1.0, beta=0.0, alpha=1.0, e=665)
+@example(c=1.0, beta=0.6, alpha=1.0, e=1023)
+def test_decomposition_scales_by_a_power_of_two(c, beta, alpha, e):
+    # decompose_conformal(2^e M) is 2^e alpha and the same L, bit for bit, and 2^e L is an
+    # isometry only for e = 0
+    m = Metric(4, c)
+    L = boost_x(BoostParams(beta * c, c)).L
+    scaled = _times_2(e, alpha * L, L)
+    assume(scaled is not None)
+    a0, L0 = decompose_conformal(alpha * L, m)
+    a, L1 = decompose_conformal(scaled[0], m)
+    assert a == math.ldexp(a0, e)
+    assert L1.tobytes() == L0.tobytes()
+    assert is_isometry(scaled[1], m) is (e == 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _lorentz_at_c_1e150():
+    # the sample of `generate --kind lorentz --c 1e150 --v 6e149 --seed 1 --num-samples 200`
+    s, _ = make_samples(GenerateConfig(kind="lorentz", c=1e150, v=6e149, seed=1, num_samples=200))
+    return s, recover_lorentz(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(e=st.integers(-500, 500))
+@example(e=-100)
+@example(e=-500)
+def test_verify_at_c_1e150_unchanged_by_a_power_of_two(e):
+    # each side is taken at the power of two its c calls for: the window of k = 0 is
+    # centred on that power, so times 2^-100 no time square underflows in the fit
+    s, want = _lorentz_at_c_1e150()
+    scaled = _exactly_scaled(s, e, e)
+    assume(scaled is not None and _normal(scaled.x, scaled.y))
+    got = recover_lorentz(scaled)
+    assert want.recovered is not None
+    assert _ratios(got) == _ratios(want)

@@ -5,7 +5,11 @@ sums what ``_sine(_frame(u), _frame(v))``, three ``_inner`` and three
 ``_abs_inner`` formed in ten walks; ``plane_through_lines`` and
 ``intersect_planes`` reuse its dots, frames and crosses.  Every sum keeps
 its order, so each class, refusal and point is the old one bit for bit.  The
-old compositions are kept here as the reference.
+old compositions are kept here as the reference, evaluated at the inputs times
+the kernels' powers of two: each kernel takes its vectors (and
+``intersect_planes`` its two points) at the 2^k of ``minkowski._at_pow2``
+where a square or product leaves the normal float range, and k = 0 everywhere
+else.
 
 The bits are compared where ``sum()`` adds floats left to right, as the one
 pass does: CPython 3.12 made ``sum()`` compensated, and there the two agree
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 from lightcone.cones import (Line, Plane, _cross, _euclid_normal, _span, classify_span,
                              intersect_planes, line_through, plane_through_lines)
 from lightcone.minkowski import (CausalClass, Metric, _abs_inner, _dot, _frame, _inner, _minus,
-                                 _sine, _within, as_event)
+                                 _at_pow2, _sine, _within, as_event)
 
 SI = 2.99792458e8
 SPEEDS = (0.1, 1.0, 343.0, SI)
@@ -35,7 +39,8 @@ def _old_span(u, v, c):
     sine = _sine(_frame(u, c), _frame(v, c))
     guu, gvv, guv = _inner(u, u, c), _inner(v, v, c), _inner(u, v, c)
     det = guu * gvv - guv * guv
-    scale = _abs_inner(u, u, c) * _abs_inner(v, v, c) + _abs_inner(u, v, c) ** 2
+    a = _abs_inner(u, v, c)  # squared as a product, as _span does: ** 2 raised OverflowError
+    scale = _abs_inner(u, u, c) * _abs_inner(v, v, c) + a * a
     return sine, det, scale
 
 
@@ -65,16 +70,28 @@ def _old_plane_through_lines(l1, l2, m, tol=1e-9):
     return Plane(p1 + t * u, (u, v), causal_class)
 
 
-def _old_intersect_planes(p1, p2, m, tol=1e-9):
-    n1, n2 = _euclid_normal(p1, m), _euclid_normal(p2, m)
+def _times(d, k):
+    return np.ldexp(d, k).tolist() if k else d
+
+
+def _old_intersect_planes(p1, p2, m, tol=1e-9, normals=None, k1=0, k2=0):
+    # of the given normals (those of the span vectors as they are by default) at 2^k1 and
+    # 2^k2, and of both points at their one 2^kq where an h leaves the normal range
+    n1, n2 = normals or (_euclid_normal(p1, m), _euclid_normal(p2, m))
+    n1, n2 = _times(n1, k1), _times(n2, k2)
     a1, a2 = _frame(n1, 1 / m.c), _frame(n2, 1 / m.c)
     if _within(_sine(a1, a2), 1.0, tol):
         raise ValueError("planes are parallel or identical: no unique line")
-    h1, h2 = _dot(n1, p1.point.tolist()), _dot(n2, p2.point.tolist())
+    (q1, q2), kq = (p1.point, p2.point), 0
+    h1, h2 = _dot(n1, q1.tolist()), _dot(n2, q2.tolist())
+    if not 2.0 ** -900 <= abs(h1) + abs(h2) < math.inf and (h1 or h2):
+        (q1, q2), kq = _at_pow2(np.array([q1, q2]), m.c)
+        h1, h2 = _dot(n1, q1.tolist()), _dot(n2, q2.tolist())
     n = _cross(a1, a2)
     k = math.hypot(*n)
     point = _cross([h1 * b - h2 * a for a, b in zip(a1, a2)], [x / k for x in n])
-    return line_through(_frame([x / k for x in point], 1 / m.c), _cross(n1, n2), m, tol)
+    point = _frame([x / k for x in point], 1 / m.c)
+    return line_through(np.ldexp(point, -kq) if kq else point, _cross(n1, n2), m, tol)
 
 
 def _outcome(fn, *args):
@@ -133,10 +150,12 @@ def _spans(draw):
 @example(span=([3.0, 4.0, 0.0, 5 / SI], [0.0, 0.0, 1.0, 0.0], SI), tol=1e-9)
 def test_one_pass_span_is_the_composition(span, tol):
     u, v, c = span
+    *got, ku, kv = _span(u, v, c)
+    u2, v2 = _times(u, ku), _times(v, kv)
     if PLAIN_SUM:
-        assert _bits(*_span(u, v, c)[:3]) == _bits(*_old_span(u, v, c))
+        assert _bits(*got[:3]) == _bits(*_old_span(u2, v2, c))
     got = _outcome(classify_span, u, v, Metric(len(u), c), tol)
-    assert got == _outcome(_old_classify_span, u, v, c, tol)
+    assert got == _outcome(_old_classify_span, u2, v2, c, tol)
 
 
 _vec3 = st.tuples(_coord, _coord, _coord).map(np.array)
@@ -154,7 +173,15 @@ def test_one_pass_plane_through_lines_is_the_composition(c, q, d1, d2, t1, t2, s
     l1, l2 = (Line(_frame(p, 1 / c), _frame(d, 1 / c), CausalClass.SPACELIKE)
               for p, d in ((p1, d1), (p2, d2)))
     m = Metric(3, c)
-    _same(_outcome(plane_through_lines, l1, l2, m), _outcome(_old_plane_through_lines, l1, l2, m))
+    # the composition of both points and d1 at 2^ku and d2 at 2^kv, the kernel's powers
+    ku, kv = _span(l1.direction.tolist(), l2.direction.tolist(), c)[-2:]
+    got = _outcome(plane_through_lines, l1, l2, m)
+    if isinstance(got, Plane):
+        got = Plane(np.ldexp(got.point, ku), (np.ldexp(got.span[0], ku), np.ldexp(got.span[1], kv)),
+                    got.causal_class)
+    l1, l2 = (Line(np.ldexp(l.point, ku), np.ldexp(l.direction, k), l.causal_class)
+              for l, k in ((l1, ku), (l2, kv)))
+    _same(got, _outcome(_old_plane_through_lines, l1, l2, m))
 
 
 @given(c=st.sampled_from(SPEEDS), vs=st.lists(_vec3, min_size=6, max_size=6),
@@ -163,6 +190,9 @@ def test_one_pass_plane_through_lines_is_the_composition(c, q, d1, d2, t1, t2, s
 @example(c=SI, vs=[np.array([0.5, -0.25, 0.75]), np.array([0.0, 2.0, 1.0]),
                    np.array([-2.0, 0.0, 0.0]), np.array([0.5, -0.25, 0.75]),
                    np.array([0.0, -2.0, 1.0]), np.array([2.0, 0.0, 0.0])], parallel=False)
+@example(c=1.0, vs=[np.array([1e-300, -2e-300, 3e-300]), np.array([0.0, 2.0, 1.0]),
+                    np.array([-2.0, 0.0, 0.0]), np.array([2e-300, 1e-300, 0.0]),
+                    np.array([0.0, -2.0, 1.0]), np.array([2.0, 0.0, 0.0])], parallel=False)
 def test_one_pass_intersect_planes_is_the_composition(c, vs, parallel):
     p1, u1, v1, p2, u2, v2 = (_frame(x, 1 / c) for x in vs)
     if parallel:
@@ -170,4 +200,12 @@ def test_one_pass_intersect_planes_is_the_composition(c, vs, parallel):
     P1 = Plane(p1, (u1, v1), CausalClass.LIGHTLIKE)
     P2 = Plane(p2, (u2, v2), CausalClass.LIGHTLIKE)
     m = Metric(3, c)
-    _same(_outcome(intersect_planes, P1, P2, m), _outcome(_old_intersect_planes, P1, P2, m))
+    # the kernel's powers of two: of each normal (_span), which it takes again of its span
+    # vectors at theirs where a normal leaves the normal range
+    normals = _euclid_normal(P1, m), _euclid_normal(P2, m)
+    sine, *_, k1, k2 = _span(*normals, 1 / c)
+    if k1 or k2 or not sine > 0:
+        normals = [_cross(*(_at_pow2(w, c)[0] for w in map(list, P.span))) for P in (P1, P2)]
+        k1, k2 = _span(*normals, 1 / c)[-2:]
+    want = _outcome(_old_intersect_planes, P1, P2, m, 1e-9, normals, k1, k2)
+    _same(_outcome(intersect_planes, P1, P2, m), want)

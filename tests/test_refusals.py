@@ -58,6 +58,16 @@ another dimension than the map (``[map-dims]``) read numpy's matmul message,
 and an image that overflows (``[overflow]``) warned, then got the event check's
 non-finite message from ``line_through``.
 
+The scale rows came with the one scale rule, ``minkowski._pow2``: each kernel
+takes its vectors, or its matrix before and after balancing, at an exact power
+of two where a square leaves the normal float range.  Before it,
+``classify_span[1e-170]`` called orthogonal vectors dependent,
+``[dependent-1e200]`` called dependent ones SPACELIKE and ``[square-overflow]``
+raised OverflowError; ``plane_through_lines[1e200]`` and
+``intersect_planes[1e200]`` were refused; ``decompose_conformal[1e-200]`` found a
+factor of 0, ``[balanced-overflow]`` a NaN deviation (D M D^-1 overflowed, with
+a warning), and ``is_isometry[1e200]`` was True.
+
 The Python float forms that replaced numpy calls on 3-vectors and a few
 ratios (``cones._cross``, ``boost._median``) must equal those calls bit
 for bit.
@@ -254,6 +264,26 @@ def _rows():
     rows["boost.decompose_conformal[rank-1]"] = (
         boost.decompose_conformal, (np.diag([1.0, 0.0, 0.0, 0.0]), M4))
     rows["boost.is_isometry[tol]"] = (boost.is_isometry, (B, M4, -1.0))
+    # the scale rows: each kernel takes its vectors or matrix at minkowski._pow2's 2^k
+    corner = np.eye(4)
+    corner[3, 0] = 1e300  # times c = 1e10 in D M D^-1
+    rows["boost.decompose_conformal[balanced-overflow]"] = (
+        boost.decompose_conformal, (corner, Metric(4, 1e10)))
+    rows["boost.is_isometry[balanced-overflow]"] = (boost.is_isometry, (corner, Metric(4, 1e10)))
+    rows["boost.decompose_conformal[1e-200]"] = (boost.decompose_conformal, (1e-200 * B, M4))
+    rows["boost.is_isometry[1e200]"] = (boost.is_isometry, (1e200 * np.eye(4), M4))
+    rows["cones.classify_span[dependent-1e200]"] = (cones.classify_span, (1e200 * UX, 2e200 * UX, M3))
+    rows["cones.classify_span[square-overflow]"] = (
+        cones.classify_span, (1e100 * UX, 1e100 * (2 * UX + UY), M3))
+    rows["cones.classify_span[1e-170]"] = (cones.classify_span, (1e-170 * UX, 1e-170 * UY, M3))
+    rows["cones.plane_through_lines[1e200]"] = (
+        cones.plane_through_lines,
+        tuple(Line(1e200 * l.point, 1e200 * l.direction, l.causal_class) for l in (
+            NULL_LINE, Line(O3 + DN, UY, CC.SPACELIKE))) + (M3,))
+    rows["cones.intersect_planes[1e200]"] = (
+        cones.intersect_planes,
+        tuple(Plane(1e200 * p.point, tuple(1e200 * u for u in p.span), p.causal_class)
+              for p in (P1, P2)) + (M3,))
     rows["boost.decompose_conformal[tol]"] = (boost.decompose_conformal, (B, M4, -1.0))
     rows["boost.scale_constraint_check[tol]"] = (
         boost.scale_constraint_check, (0.8, 0.8, BoostParams(0.6, 1.0), -1.0))
@@ -407,6 +437,9 @@ EXPECTED = {
     'boost.decompose_conformal[-inf@0,3]': NOT_CONFORMAL_NAN,
     'boost.decompose_conformal[-inf@3,0]': NOT_CONFORMAL_NAN,
     'boost.decompose_conformal[-inf@3,3]': NOT_CONFORMAL_NAN,
+    'boost.decompose_conformal[1e-200]': ('returns', None),
+    'boost.decompose_conformal[balanced-overflow]':
+        ('raises', 'NotConformalError', 'M^T eta M is not proportional to eta (worst relative deviation 1.000e+00)'),
     'boost.decompose_conformal[nan@0,0]': NOT_CONFORMAL_NAN,
     'boost.decompose_conformal[nan@0,3]': NOT_CONFORMAL_NAN,
     'boost.decompose_conformal[nan@3,0]': NOT_CONFORMAL_NAN,
@@ -460,6 +493,8 @@ EXPECTED = {
     'boost.is_isometry[-inf@0,3]': FALSE,
     'boost.is_isometry[-inf@3,0]': FALSE,
     'boost.is_isometry[-inf@3,3]': FALSE,
+    'boost.is_isometry[1e200]': FALSE,
+    'boost.is_isometry[balanced-overflow]': FALSE,
     'boost.is_isometry[nan@0,0]': FALSE,
     'boost.is_isometry[nan@0,3]': FALSE,
     'boost.is_isometry[nan@3,0]': FALSE,
@@ -505,8 +540,12 @@ EXPECTED = {
     'cones.classify_span[arg1--inf]': NON_FINITE,
     'cones.classify_span[arg1-nan]': NON_FINITE,
     'cones.classify_span[arg1-shape]': SHAPE_4_NOT_3,
+    'cones.classify_span[1e-170]': ('returns', 'SPACELIKE'),
     'cones.classify_span[dependent]':
         ('raises', 'ValueError', 'span vectors are linearly dependent'),
+    'cones.classify_span[dependent-1e200]':
+        ('raises', 'ValueError', 'span vectors are linearly dependent'),
+    'cones.classify_span[square-overflow]': ('returns', 'SPACELIKE'),
     'cones.classify_span[tol]': NEGATIVE_TOL,
     'cones.classify_span[zero]': ('raises', 'ValueError', 'span vectors are linearly dependent'),
     'cones.intersect_null_planes[parallel]':
@@ -539,6 +578,7 @@ EXPECTED = {
         ('raises', 'ValueError', 'plane intersection is implemented for n = 3'),
     'cones.intersect_null_planes[timelike]': ('raises', 'ValueError', 'second plane is not null'),
     'cones.intersect_null_planes[tol]': NEGATIVE_TOL,
+    'cones.intersect_planes[1e200]': ('returns', None),
     'cones.intersect_planes[parallel]':
         ('raises', 'ValueError', 'planes are parallel or identical: no unique line'),
     'cones.intersect_planes[plane0-0-+inf]': NON_FINITE,
@@ -658,6 +698,7 @@ EXPECTED = {
     'cones.plane_through_lines[line1-point--inf]': NON_FINITE,
     'cones.plane_through_lines[line1-point-nan]': NON_FINITE,
     'cones.plane_through_lines[line1-point-shape]': SHAPE_4_NOT_3,
+    'cones.plane_through_lines[1e200]': ('returns', None),
     'cones.plane_through_lines[parallel]':
         ('raises', 'ValueError', 'lines are parallel or collinear: no unique plane'),
     'cones.plane_through_lines[skew]': ('raises', 'ValueError', 'lines do not intersect (skew)'),
@@ -923,6 +964,16 @@ def test_decompose_refuses_every_non_finite_entry(value):
             bad = B.copy()
             bad[i, j] = value
             assert boost.is_isometry(bad, M4) is False
+
+
+def test_a_balanced_matrix_that_overflows_is_refused_without_a_warning():
+    # D M D^-1 of this finite M overflows at c = 1e10; the suite turns numpy's
+    # RuntimeWarning into an error
+    corner = np.eye(4)
+    corner[3, 0] = 1e300
+    with pytest.raises(NotConformalError, match=r"deviation 1\.000e\+00\)$"):
+        boost.decompose_conformal(corner, Metric(4, 1e10))
+    assert boost.is_isometry(corner, Metric(4, 1e10)) is False
 
 
 def test_transform_line_refuses_an_overflowing_image_without_a_warning():
