@@ -199,7 +199,7 @@ def inverse(m: AffineLorentzMap) -> AffineLorentzMap:
 def _balanced_gram(M: np.ndarray, m: Metric):
     # M^T eta M = lam eta is exactly G = Mb^T eta1 Mb = lam eta1, Mb = D M D^-1: O(gamma) for
     # boosts, with no c^2 amplified noise.  Returns M, flat G, S = |Mb|^T |Mb| and eta1 of M 2^k,
-    # and k: where a square may leave the range, _pow2's of M (so Mb cannot overflow) and of Mb
+    # and k: 0 unless a square of Mb may leave the range, else it puts M and then Mb near 1
     M, c, k = np.asarray(M, dtype=float), m.c, 0  # the one check of a public matrix argument
     if M.shape != (m.n, m.n):
         raise ValueError(f"matrix has shape {M.shape}, expected ({m.n}, {m.n})")
@@ -207,7 +207,7 @@ def _balanced_gram(M: np.ndarray, m: Metric):
     if not (_TINY <= (h / w) * (h / w) and (h * w) * (h * w) < math.inf):
         M = M if _finite(M.ravel().tolist()) else np.full_like(M, math.nan)  # inf * 0 warns
         k = _pow2(float(np.abs(M).max()), 0.0, 1.0)  # h itself may overflow
-        k += _pow2(math.hypot(*_balanced(np.ldexp(M, k), c).ravel().tolist()), 0.0, c)
+        k += _pow2(math.hypot(*_balanced(np.ldexp(M, k), c).ravel().tolist()), 0.0, 1.0)
     Mb = _balanced(np.ldexp(M, k) if k else M, c)
     H = Mb.copy()
     time_row = H[-1]
@@ -229,8 +229,9 @@ def is_isometry(L, m: Metric, tol: float = DEFAULT_TOL) -> bool:
     """True iff L^T eta L = eta entrywise, relative to the magnitude of the
     products forming each entry (evaluated in the metric-balanced frame)."""
     _within(0.0, 0.0, tol)  # refuses a bad tol before the matrix is checked
-    _, G, S, eta1, k = _balanced_gram(L, m)  # G = eta1 of L 2^k is 2^2k eta1
-    return not _off_band(G, S, eta1, float(_ldexp(1.0, 2 * k)) if k else 1.0, tol)
+    _, G, S, eta1, k = _balanced_gram(L, m)  # an isometry's G of L 2^k is 2^2k eta1
+    lam = float(_ldexp(1.0, 2 * k)) if k else 1.0  # 0 or inf: |D L D^-1| < 2^-512 (no isometry)
+    return 0.0 < lam < math.inf and not _off_band(G, S, eta1, lam, tol)  # or >= 2^537 (eta lost)
 
 
 def _off_band(G: list, S: list, eta1: list, lam: float, tol: float) -> list:

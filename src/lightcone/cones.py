@@ -20,7 +20,7 @@ import numpy as np
 from .boost import apply
 from .minkowski import (_LIGHTLIKE, _SPACELIKE, _TIMELIKE, _TINY, DEFAULT_TOL, CausalClass,
                         Metric, _abs_inner, _at_pow2, _classify, _dot, _event, _frame, _inner,
-                        _ldexp, _line_distance, _minus, _within, as_event)
+                        _ldexp, _line_distance, _minus, _pow2, _within, as_event)
 
 _EPS = float_info.epsilon
 
@@ -244,12 +244,17 @@ def intersect_planes(p1: Plane, p2: Plane, m: Metric, tol: float = DEFAULT_TOL) 
         raise ValueError("planes are parallel or identical: no unique line")
     q1, q2, kq = p1.point.tolist(), p2.point.tolist(), 0
     h1, h2 = _dot(n1, q1), _dot(n2, q2)
-    if not _TINY <= abs(h1) + abs(h2) < math.inf and (h1 or h2):  # both points at one 2^kq
+    if not float_info.min <= abs(h1) + abs(h2) < math.inf and (h1 or h2):  # points at one 2^kq
         (q1, q2), kq = _at_pow2([q1, q2], m.c)
         h1, h2 = _dot(n1, q1), _dot(n2, q2)
     x, y, z = _cross(a1, a2)  # n, by components
     k = math.hypot(x, y, z)  # |n|, divided by twice: |n|^2 underflows for spans below ~1e-37
-    x, y, z = _cross([h1 * b - h2 * a for a, b in zip(a1, a2)], [x / k, y / k, z / k])
+    n = [x / k, y / k, z / k]
+    x, y, z = _cross([h1 * b - h2 * a for a, b in zip(a1, a2)], n)
+    s = abs(x) + abs(y) + abs(z)  # the balanced point is (x, y, z) / k
+    if not _TINY <= s / k < math.inf and s:  # it left the range: h1, h2 at its 2^kp
+        h1, h2 = _ldexp([h1, h2], kp := _pow2(s, 0.0, m.c) - _pow2(k, 0.0, 1.0)).tolist()
+        x, y, z, kq = *_cross([h1 * b - h2 * a for a, b in zip(a1, a2)], n), kq + kp
     point = [x / k, y / k, z / k * ic]
     return line_through(_ldexp(point, -kq) if kq else point, _cross(n1, n2), m, tol)
 
@@ -280,7 +285,7 @@ def plane_through_lines(l1: Line, l2: Line, m: Metric, tol: float = DEFAULT_TOL)
         raise ValueError("lines are parallel or collinear: no unique plane")
     causal_class = _span_class(sine, det, scale, tol)  # sine > 1e-6 from here on
     (p1, q1), q2 = _event(l1.point, m), _event(l2.point, m)[1]
-    q1, q2 = _ldexp([q1, q2], ku).tolist() if ku else (q1, q2)  # at d1's 2^ku: t is unchanged
+    (q1, q2), kq = _at_pow2([q1, q2], m.c) if ku else ((q1, q2), 0)  # t of d1 2^ku is t 2^(kq-ku)
     w = _frame(list(map(sub, q2, q1)), m.c)
     rw = _minus(w, d2, _dot(w, d2) / dd)  # r1 is d1 less its part along d2, from _span
     t = _dot(r1, rw) / _dot(r1, r1)
@@ -291,7 +296,10 @@ def plane_through_lines(l1: Line, l2: Line, m: Metric, tol: float = DEFAULT_TOL)
     floor = 4 * _EPS * max(math.hypot(*_frame(q1, m.c)), math.hypot(*_frame(q2, m.c)))
     if not _within(max(miss - floor, 0.0), max(abs(t) * math.hypot(*d1), math.hypot(*w)), tol):
         raise ValueError("lines do not intersect (skew)")
-    return Plane(p1 + t * u, (u, v), causal_class)
+    t = float(_ldexp(t, ku - kq)) if ku else t
+    if abs(t) <= 1.0 or abs(t) * max(map(abs, ul)) < math.inf:  # else t u overflows, p1 + t u not
+        return Plane(p1 + t * u, (u, v), causal_class)
+    return Plane(2 * (p1 / 2 + t * (u / 2)), (u, v), causal_class)
 
 
 def transform_line(mp, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> Line:

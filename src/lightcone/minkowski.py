@@ -178,10 +178,10 @@ def _line_distance(w, d) -> float:
 def _pow2(s: float, t: float, c: float) -> int:
     # the one scale rule: k puts max(s, c t), s and t the largest |space| and |time|, at
     # 2^(ec // 4), c in [2^(ec-1), 2^ec), where every square and product of two is normal for
-    # each c _check_speed admits; c t is never formed.  k = 0 within 2^100 of there
+    # each c _check_speed admits; c t is never formed.  p and 2^e p land on the same bits
     ec = frexp(c)[1]
     k = ec // 4 - max(frexp(s)[1] if s else -inf, frexp(t)[1] + ec if t else -inf)
-    return k if 100 < abs(k) < inf and isfinite(s) and isfinite(t) else 0
+    return k if abs(k) < inf and isfinite(s) and isfinite(t) else 0
 
 
 def _ldexp(v, k: int):
@@ -189,10 +189,11 @@ def _ldexp(v, k: int):
         return np.ldexp(v, k)
 
 
-def _at_pow2(p, c: float) -> tuple:
-    # (p 2^k, k), k = _pow2 of p's largest |space| and |t|, p a list or an array of rows (k = 0: p)
+def _at_pow2(p, c: float, keep: int = 0) -> tuple:
+    # (p 2^k, k), k = _pow2 of p's largest |space| and |t|, p a list or rows; 0 within 2^keep
     *space, t = np.abs(np.atleast_2d(p)).max(axis=0, initial=0.0).tolist()
     k = _pow2(max(space), t, c)
+    k = k if abs(k) > keep else 0
     q = np.ldexp(p, k) if k else p
     return (q.tolist() if k and isinstance(p, list) else q), k
 

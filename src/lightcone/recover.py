@@ -32,6 +32,8 @@ FIT_TOL = 1e-6
 #: Rank decisions count singular values of the equilibrated design above this times the largest.
 RANK_RTOL = 1e-12
 
+_KEEP = 100  # a side kept as it is within 2^100 of the target: no copy, and its bits
+
 # Rows per block of the cone check.  Median seconds for 8/16/32/64/128 rows, 2 vCPUs:
 # 0.015/0.011/0.009/0.010/0.021 at N = 2000, 0.25/0.27/0.29/0.40/0.39 at N = 10^4;
 # the traced peak at N = 2000 is 1.3 MiB at 16 rows, 2.9 MiB at 64.
@@ -117,12 +119,11 @@ class SampleSet:
 
     @cached_property
     def _units(self) -> tuple:  # ((x 2^kx, kx), (y 2^ky, ky)): the sides the checks and fit read
-        return _at_pow2(self.x, self.metric.c), _at_pow2(self.y, self.metric.c)
+        return _at_pow2(self.x, self.metric.c, _KEEP), _at_pow2(self.y, self.metric.c, _KEEP)
 
     @cached_property
     def _fit(self) -> tuple:  # fit_affine's M, a and residual before they are scaled back
-        (x, _), (y, _) = self._units
-        n = self.metric.n
+        (x, _), (y, _), n = *self._units, self.metric.n
         if len(x) < n + 1:
             raise UnderdeterminedError(f"need at least {n + 1} samples, got {len(x)}")
         X = np.hstack([x, np.ones((len(x), 1))])
@@ -322,7 +323,7 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
 def _marker_residual(p: np.ndarray, marker: tuple, c: float) -> float | None:
     # a triple's line distance, or the sine of a quadruple's two segments, in the balanced
     # frame at the rows' own 2^k; None where a segment has zero squared length in floats
-    q = _frame(_at_pow2(p[list(marker)], c)[0], c)
+    q = _frame(_at_pow2(p[list(marker)], c, _KEEP)[0], c)
     u = q[1] - q[0]
     if len(marker) == 3:
         return _line_distance(q[2] - q[0], u) if u.dot(u) else None

@@ -101,10 +101,11 @@ def _old_median(xs):
 
 
 def _old_is_isometry(L, m, tol, k=0):
-    # of L 2^k, whose Gram is 2^2k eta for an isometry L
+    # of L 2^k, whose Gram is 2^2k eta for an isometry L; a 2^2k that is 0 or inf is
+    # refused, as no floor of 0 may pass a null matrix
     G, S, eta1 = _old_gram(np.ldexp(L, k), m)
-    lam = float(np.ldexp(1.0, 2 * k))
-    return all(abs(g - lam * e) <= tol * (s if s > lam else lam) for g, e, s in zip(G, eta1, S))
+    lam = math.ldexp(1.0, 2 * k) if 2 * k < 1024 else math.inf
+    return 0 < lam < math.inf and all(abs(g - lam * e) <= tol * (s if s > lam else lam) for g, e, s in zip(G, eta1, S))
 
 
 def _old_decompose_conformal(M, m, tol, k=0):
@@ -234,6 +235,7 @@ def test_compose_inverse_apply_are_the_old_maps(c, data):
 @example(Mm=(np.diag([1.0, 0.0, 0.0, 0.0]), Metric(4, 1.0)), tol=1e-9)
 @example(Mm=(np.zeros((4, 4)), Metric(4, SI)), tol=1e-9)
 @example(Mm=(np.array([[0.0, 1.0], [1.0, 0.0]]), Metric(2, 1.0)), tol=1e-9)
+@example(Mm=(np.outer([1.0, 0.0, 0.0, 1.0], [2.0 ** 700, 0.0, 0.0, 0.0]), Metric(4, 1.0)), tol=1e-9)
 def test_isometry_and_decomposition_are_the_old_ones(Mm, tol):
     # the old functions of M 2^k, k the kernel's power of two (0 unless a square of
     # D M D^-1 may leave the normal range)

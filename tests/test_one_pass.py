@@ -7,9 +7,10 @@ sums what ``_sine(_frame(u), _frame(v))``, three ``_inner`` and three
 its order, so each class, refusal and point is the old one bit for bit.  The
 old compositions are kept here as the reference, evaluated at the inputs times
 the kernels' powers of two: each kernel takes its vectors (and
-``intersect_planes`` its two points) at the 2^k of ``minkowski._at_pow2``
-where a square or product leaves the normal float range, and k = 0 everywhere
-else.
+``plane_through_lines`` and ``intersect_planes`` their two points) at the 2^k
+of ``minkowski._at_pow2`` where a square or product leaves the normal float
+range, and k = 0 everywhere else; ``intersect_planes`` also takes its offsets
+h at a 2^kp where its point leaves that range.
 
 The bits are compared where ``sum()`` adds floats left to right, as the one
 pass does: CPython 3.12 made ``sum()`` compensated, and there the two agree
@@ -17,6 +18,7 @@ only to rounding.  Classes and refusals are compared everywhere.
 """
 
 import math
+import sys
 
 import numpy as np
 from hypothesis import assume, example, given, settings
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from lightcone.cones import (Line, Plane, _cross, _euclid_normal, _span, classify_span,
                              intersect_planes, line_through, plane_through_lines)
 from lightcone.minkowski import (CausalClass, Metric, _abs_inner, _dot, _frame, _inner, _minus,
-                                 _at_pow2, _sine, _within, as_event)
+                                 _at_pow2, _pow2, _sine, _within, as_event)
 
 SI = 2.99792458e8
 SPEEDS = (0.1, 1.0, 343.0, SI)
@@ -76,7 +78,8 @@ def _times(d, k):
 
 def _old_intersect_planes(p1, p2, m, tol=1e-9, normals=None, k1=0, k2=0):
     # of the given normals (those of the span vectors as they are by default) at 2^k1 and
-    # 2^k2, and of both points at their one 2^kq where an h leaves the normal range
+    # 2^k2, of both points at their one 2^kq where an h leaves the normal range, and of
+    # h1, h2 at a 2^kp where the balanced point leaves it
     n1, n2 = normals or (_euclid_normal(p1, m), _euclid_normal(p2, m))
     n1, n2 = _times(n1, k1), _times(n2, k2)
     a1, a2 = _frame(n1, 1 / m.c), _frame(n2, 1 / m.c)
@@ -84,12 +87,17 @@ def _old_intersect_planes(p1, p2, m, tol=1e-9, normals=None, k1=0, k2=0):
         raise ValueError("planes are parallel or identical: no unique line")
     (q1, q2), kq = (p1.point, p2.point), 0
     h1, h2 = _dot(n1, q1.tolist()), _dot(n2, q2.tolist())
-    if not 2.0 ** -900 <= abs(h1) + abs(h2) < math.inf and (h1 or h2):
+    if not sys.float_info.min <= abs(h1) + abs(h2) < math.inf and (h1 or h2):
         (q1, q2), kq = _at_pow2(np.array([q1, q2]), m.c)
         h1, h2 = _dot(n1, q1.tolist()), _dot(n2, q2.tolist())
     n = _cross(a1, a2)
     k = math.hypot(*n)
     point = _cross([h1 * b - h2 * a for a, b in zip(a1, a2)], [x / k for x in n])
+    s = max(map(abs, point))
+    if not 2.0 ** -900 <= s / k < math.inf and s:
+        kp = _pow2(s, 0.0, m.c) - _pow2(k, 0.0, 1.0)
+        h1, h2, kq = math.ldexp(h1, kp), math.ldexp(h2, kp), kq + kp
+        point = _cross([h1 * b - h2 * a for a, b in zip(a1, a2)], [x / k for x in n])
     point = _frame([x / k for x in point], 1 / m.c)
     return line_through(np.ldexp(point, -kq) if kq else point, _cross(n1, n2), m, tol)
 
@@ -173,13 +181,15 @@ def test_one_pass_plane_through_lines_is_the_composition(c, q, d1, d2, t1, t2, s
     l1, l2 = (Line(_frame(p, 1 / c), _frame(d, 1 / c), CausalClass.SPACELIKE)
               for p, d in ((p1, d1), (p2, d2)))
     m = Metric(3, c)
-    # the composition of both points and d1 at 2^ku and d2 at 2^kv, the kernel's powers
+    # the composition of d1 at 2^ku, d2 at 2^kv and, where ku is not 0, both points at their
+    # one 2^kq: the kernel's powers
     ku, kv = _span(l1.direction.tolist(), l2.direction.tolist(), c)[-2:]
+    kq = _at_pow2([l1.point.tolist(), l2.point.tolist()], c)[1] if ku else 0
     got = _outcome(plane_through_lines, l1, l2, m)
     if isinstance(got, Plane):
-        got = Plane(np.ldexp(got.point, ku), (np.ldexp(got.span[0], ku), np.ldexp(got.span[1], kv)),
+        got = Plane(np.ldexp(got.point, kq), (np.ldexp(got.span[0], ku), np.ldexp(got.span[1], kv)),
                     got.causal_class)
-    l1, l2 = (Line(np.ldexp(l.point, ku), np.ldexp(l.direction, k), l.causal_class)
+    l1, l2 = (Line(np.ldexp(l.point, kq), np.ldexp(l.direction, k), l.causal_class)
               for l, k in ((l1, ku), (l2, kv)))
     _same(got, _outcome(_old_plane_through_lines, l1, l2, m))
 

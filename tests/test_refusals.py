@@ -66,7 +66,9 @@ of two where a square leaves the normal float range.  Before it,
 raised OverflowError; ``plane_through_lines[1e200]`` and
 ``intersect_planes[1e200]`` were refused; ``decompose_conformal[1e-200]`` found a
 factor of 0, ``[balanced-overflow]`` a NaN deviation (D M D^-1 overflowed, with
-a warning), and ``is_isometry[1e200]`` was True.
+a warning), and ``is_isometry[1e200]`` was True.  ``is_isometry[null-rank-1-2^700]``
+warned as its Gram overflowed; taken at its 2^k, that Gram is 0, and so is 2^2k, a
+factor no isometry has there.
 
 The Python float forms that replaced numpy calls on 3-vectors and a few
 ratios (``cones._cross``, ``boost._median``) must equal those calls bit
@@ -272,6 +274,8 @@ def _rows():
     rows["boost.is_isometry[balanced-overflow]"] = (boost.is_isometry, (corner, Metric(4, 1e10)))
     rows["boost.decompose_conformal[1e-200]"] = (boost.decompose_conformal, (1e-200 * B, M4))
     rows["boost.is_isometry[1e200]"] = (boost.is_isometry, (1e200 * np.eye(4), M4))
+    null_column = np.outer([1.0, 0.0, 0.0, 1.0], [2.0 ** 700, 0.0, 0.0, 0.0])  # rank 1
+    rows["boost.is_isometry[null-rank-1-2^700]"] = (boost.is_isometry, (null_column, Metric(4, 1.0)))
     rows["cones.classify_span[dependent-1e200]"] = (cones.classify_span, (1e200 * UX, 2e200 * UX, M3))
     rows["cones.classify_span[square-overflow]"] = (
         cones.classify_span, (1e100 * UX, 1e100 * (2 * UX + UY), M3))
@@ -495,6 +499,7 @@ EXPECTED = {
     'boost.is_isometry[-inf@3,3]': FALSE,
     'boost.is_isometry[1e200]': FALSE,
     'boost.is_isometry[balanced-overflow]': FALSE,
+    'boost.is_isometry[null-rank-1-2^700]': FALSE,
     'boost.is_isometry[nan@0,0]': FALSE,
     'boost.is_isometry[nan@0,3]': FALSE,
     'boost.is_isometry[nan@3,0]': FALSE,
