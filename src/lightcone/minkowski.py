@@ -178,7 +178,7 @@ def _line_distance(w, d) -> float:
 def _pow2(s: float, t: float, c: float) -> int:
     # the one scale rule: k puts max(s, c t), s and t the largest |space| and |time|, at
     # 2^(ec // 4), c in [2^(ec-1), 2^ec), where every square and product of two is normal for
-    # each c _check_speed admits; c t is never formed.  p and 2^e p land on the same bits
+    # each c _check_speed admits; c t is never formed.  A vector times 2^e lands on its own bits
     ec = frexp(c)[1]
     k = ec // 4 - max(frexp(s)[1] if s else -inf, frexp(t)[1] + ec if t else -inf)
     return k if abs(k) < inf and isfinite(s) and isfinite(t) else 0

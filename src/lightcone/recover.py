@@ -32,7 +32,7 @@ FIT_TOL = 1e-6
 #: Rank decisions count singular values of the equilibrated design above this times the largest.
 RANK_RTOL = 1e-12
 
-_KEEP = 100  # a side kept as it is within 2^100 of the target: no copy, and its bits
+_KEEP = 100  # a side within 2^100 of minkowski._pow2's target is read as it is, every bit kept
 
 # Rows per block of the cone check.  Median seconds for 8/16/32/64/128 rows, 2 vCPUs:
 # 0.015/0.011/0.009/0.010/0.021 at N = 2000, 0.25/0.27/0.29/0.40/0.39 at N = 10^4;
@@ -123,7 +123,8 @@ class SampleSet:
 
     @cached_property
     def _fit(self) -> tuple:  # fit_affine's M, a and residual before they are scaled back
-        (x, _), (y, _), n = *self._units, self.metric.n
+        (x, _), (y, _) = self._units
+        n = self.metric.n
         if len(x) < n + 1:
             raise UnderdeterminedError(f"need at least {n + 1} samples, got {len(x)}")
         X = np.hstack([x, np.ones((len(x), 1))])
