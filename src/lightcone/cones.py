@@ -188,10 +188,8 @@ def null_plane_through(l: Line, m: Metric) -> Plane:
     """
     if m.n != 3:
         raise ValueError("null-plane construction is implemented for n = 3")
-    if l.causal_class is not _LIGHTLIKE:
-        raise ValueError("line is not null")
     point, (d, dl) = as_event(l.point, m), _direction(l.direction, m)
-    if _classify(dl, m.c, DEFAULT_TOL) is not _LIGHTLIKE:  # a label is not a check
+    if _classify(dl, m.c, DEFAULT_TOL) is not _LIGHTLIKE:  # the direction decides, not the label
         raise ValueError("line is not null")
     return Plane(point, (d.copy(), np.array([-dl[1], dl[0], 0.0])), _LIGHTLIKE)
 
@@ -199,8 +197,6 @@ def null_plane_through(l: Line, m: Metric) -> Plane:
 def on_null_plane_algebraic(p, l: Line, m: Metric, tol: float = DEFAULT_TOL) -> bool:
     """Membership in the null plane of l by the linear equation
     inner(p - l.point, l.direction) = 0."""
-    if l.causal_class is not _LIGHTLIKE:
-        raise ValueError("line is not null")
     p, point, d = _event(p, m)[1], _event(l.point, m)[1], _direction(l.direction, m)[1]
     if _classify(d, m.c, tol) is not _LIGHTLIKE:
         raise ValueError("line is not null")

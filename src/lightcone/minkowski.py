@@ -189,11 +189,10 @@ def _ldexp(v, k: int):
         return np.ldexp(v, k)
 
 
-def _at_pow2(p, c: float, keep: int = 0) -> tuple:
-    # (p 2^k, k), k = _pow2 of p's largest |space| and |t|, p a list or rows; 0 within 2^keep
+def _at_pow2(p, c: float) -> tuple:
+    # (p 2^k, k), k = _pow2 of p's largest |space| and |t|, p a list or rows
     *space, t = np.abs(np.atleast_2d(p)).max(axis=0, initial=0.0).tolist()
     k = _pow2(max(space), t, c)
-    k = k if abs(k) > keep else 0
     q = np.ldexp(p, k) if k else p
     return (q.tolist() if k and isinstance(p, list) else q), k
 

@@ -44,6 +44,8 @@ class RadarScenario:
         check_velocity(self.v, self.c)
         if not (math.isfinite(self.delta_xbar) and self.delta_xbar > 0):
             raise ValueError(f"mirror separation must be positive, got {self.delta_xbar}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"emission time must be finite, got {self.t0}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +125,12 @@ def light_clock(sc: RadarScenario) -> RadarTimeline:
     Moving-frame times come from the derived closed forms and satisfy the
     midpoint convention tprime1 = (tprime0 + tprime2) / 2 identically.
     The scenario validated its velocity at construction, so the closed
-    forms run unchecked.
+    forms run unchecked; ValueError if the record overflows the float range.
     """
     t1 = sc.t0 + sc.delta_xbar / (sc.c - sc.v)
     t2 = t1 + sc.delta_xbar / (sc.c + sc.v)
     alpha = _scale_factor(sc.v, sc.c)
-    return RadarTimeline(
+    tl = RadarTimeline(
         t0=sc.t0,
         t1=t1,
         t2=t2,
@@ -137,6 +139,9 @@ def light_clock(sc: RadarScenario) -> RadarTimeline:
         tprime2=_tprime(0.0, t2, sc.v, sc.c, alpha),
         scenario=sc,
     )
+    if not all(map(math.isfinite, (t1, t2, tl.tprime0, tl.tprime1, tl.tprime2, *tl.x, *tl.xprime))):
+        raise ValueError("the light clock's record overflows the float range")
+    return tl
 
 
 def derive_map(v: float, c: float = 1.0) -> AffineLorentzMap:

@@ -32,8 +32,6 @@ FIT_TOL = 1e-6
 #: Rank decisions count singular values of the equilibrated design above this times the largest.
 RANK_RTOL = 1e-12
 
-_KEEP = 100  # a side within 2^100 of minkowski._pow2's target is read as it is, every bit kept
-
 # Rows per block of the cone check.  Median seconds for 8/16/32/64/128 rows, 2 vCPUs:
 # 0.015/0.011/0.009/0.010/0.021 at N = 2000, 0.25/0.27/0.29/0.40/0.39 at N = 10^4;
 # the traced peak at N = 2000 is 1.3 MiB at 16 rows, 2.9 MiB at 64.
@@ -119,7 +117,7 @@ class SampleSet:
 
     @cached_property
     def _units(self) -> tuple:  # ((x 2^kx, kx), (y 2^ky, ky)): the sides the checks and fit read
-        return _at_pow2(self.x, self.metric.c, _KEEP), _at_pow2(self.y, self.metric.c, _KEEP)
+        return _at_pow2(self.x, self.metric.c), _at_pow2(self.y, self.metric.c)
 
     @cached_property
     def _fit(self) -> tuple:  # fit_affine's M, a and residual before they are scaled back
@@ -284,15 +282,17 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
     |q_i - q_j|^2 + ((5n + 23) + 10 tol (5n + 30)) u (S_i + S_j), and
     K = 8 (n + 4) keeps it, tol = 0 included; K tiny (tiny = 2^-1022) covers
     underflow, gradual or flushed.  Each side is taken at its exact power of
-    two (``minkowski._at_pow2``), where no sum can overflow; a NaN keeps its pair.  The
-    kept pairs go through the definition itself (``_pair_side``) in
-    row-major order, so the counts, the worst pair (the first maximum) and
-    the bits of ``worst_excess`` do not depend on the BLAS.
+    two (``minkowski._at_pow2``), where no sum can overflow; a NaN keeps its pair.  As
+    |interval| <= its scale, rounded too, a band of tol >= 1 holds every pair: the check
+    runs at min(tol, 1), where no product of tol overflows.  The kept pairs go through the
+    definition itself (``_pair_side``) in row-major order, so the counts, the worst pair
+    (the first maximum) and the bits of ``worst_excess`` do not depend on the BLAS.
     """
     n_pts = len(s)
     if n_pts < 2:
         raise ValueError("need at least two samples")
     _within(0.0, 0.0, tol)
+    tol = min(tol, 1.0)
     screens = _screens(s, tol)
     violations = indeterminate = duplicates = 0
     worst_pair, worst_excess = None, 0.0
@@ -324,7 +324,7 @@ def check_cone_preservation(s: SampleSet, tol: float = GEOMETRY_TOL) -> ConeChec
 def _marker_residual(p: np.ndarray, marker: tuple, c: float) -> float | None:
     # a triple's line distance, or the sine of a quadruple's two segments, in the balanced
     # frame at the rows' own 2^k; None where a segment has zero squared length in floats
-    q = _frame(_at_pow2(p[list(marker)], c, _KEEP)[0], c)
+    q = _frame(_at_pow2(p[list(marker)], c)[0], c)
     u = q[1] - q[0]
     if len(marker) == 3:
         return _line_distance(q[2] - q[0], u) if u.dot(u) else None

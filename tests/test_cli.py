@@ -274,8 +274,15 @@ def test_radar_csv_bytes_are_pinned(case):
 
 
 def test_radar_bad_scenario_exit_two():
-    assert run_cli("radar", "--v", 2, "--c", 1).returncode == 2
-    assert run_cli("radar", "--v", 0.5, "--delta-xbar", -1).returncode == 2
+    # a degenerate scenario, a non-finite emission time, and finite scenarios whose
+    # record overflows (x = v t0, t = delta_xbar / (c - v)): one error line, no CSV
+    for flags in (("--v", 2, "--c", 1), ("--v", 0.5, "--delta-xbar", -1),
+                  ("--v", 0.5, "--t0", "nan"), ("--v", 0.5, "--t0", "inf"),
+                  ("--v", 6e99, "--c", 1e100, "--t0", 1e300), ("--v", 0.5, "--delta-xbar", 1e308)):
+        r = run_cli("radar", *flags)
+        assert r.returncode == 2, (flags, r.stdout + r.stderr)
+        assert r.stdout == "" and r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, (
+            flags, r.stderr)
 
 
 def test_classify_outputs():
@@ -408,6 +415,16 @@ def test_verify_at_cone_tol_zero_writes_a_report(tmp_path, valid_sample_text):
     body = json.loads(rep.read_text())["report"]
     assert body["recovered"] is None
     assert body["collinearity"]["checked"] == 4 and body["parallelism"]["checked"] == 3
+
+
+def test_verify_at_the_widest_cone_tolerance(tmp_path, valid_sample_text):
+    # a band of 1e308 holds every pair: the cone check runs at min(tol, 1), where no
+    # product of the tolerance overflows, and recovers the map without a warning
+    f = tmp_path / "valid.json"
+    f.write_text(valid_sample_text)
+    r = run_cli("verify", f, "--cone-tol", "1e308")
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stderr == "" and "cone-preservation violations: 0 (indeterminate skipped: 0" in r.stdout
 
 
 @pytest.mark.parametrize("k", [1e-170, 1e200])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,6 +35,7 @@ from lightcone.minkowski import _frame, _sine
 M3 = Metric(3, 1.0)
 M4 = Metric(4, 1.0)
 ZERO3 = np.zeros(3)
+SPEEDS = (0.1, 1.0, 343.0, 2.99792458e8)
 
 
 def null_line(direction, point=ZERO3, m=M3):
@@ -101,6 +104,25 @@ def test_null_plane_rejects_nonnull_line():
     spacelike = line_through(ZERO3, [1, 0, 0], M3)
     with pytest.raises(ValueError, match="not null"):
         null_plane_through(spacelike, M3)
+
+
+@pytest.mark.parametrize("c", SPEEDS)
+@pytest.mark.parametrize("label", [CausalClass.SPACELIKE, CausalClass.TIMELIKE])
+def test_a_null_line_is_null_whatever_its_label(c, label):
+    # the direction decides, not the label: a null line labelled otherwise gives the null
+    # line's plane and the null line's answers
+    m = Metric(3, c)
+    null = line_through([0.5, -0.25, 0.75 / c], [3 * c, 4 * c, 5.0], m)
+    assert null.causal_class is CausalClass.LIGHTLIKE
+    mislabelled = dataclasses.replace(null, causal_class=label)
+    want, got = null_plane_through(null, m), null_plane_through(mislabelled, m)
+    assert got.causal_class is want.causal_class is CausalClass.LIGHTLIKE
+    assert [v.tobytes() for v in (got.point, *got.span)] == [
+        v.tobytes() for v in (want.point, *want.span)]
+    on, off = null.point + 2 * want.span[1], null.point + [0.0, 0.0, 1.0]
+    for test in (on_null_plane_algebraic, on_null_plane_by_characterization):
+        assert test(on, mislabelled, m) is test(on, null, m) is True
+        assert test(off, mislabelled, m) is test(off, null, m) is False
 
 
 def test_characterization_point_on_line():
@@ -308,7 +330,6 @@ def test_plane_class_invariant_under_boosts():
         assert after is before
 
 
-SPEEDS = (0.1, 1.0, 343.0, 2.99792458e8)
 _coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_subnormal=False)
 _vec3 = st.tuples(_coord, _coord, _coord).map(np.array)
 

@@ -263,6 +263,21 @@ def test_report_unchanged_by_a_power_of_two_at_every_scale(kind, c, seed, e, sid
             assert _normal_equal(got.recovered.a, np.ldexp(want.recovered.a, ey))
 
 
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(("lorentz", "translation", "cubing", "shear", "noisy-lorentz")),
+       c=st.sampled_from(FOUR_SPEEDS), seed=st.integers(0, 1), e=st.integers(-1000, 1000))
+@example(kind="lorentz", c=1.0, seed=0, e=1)
+@example(kind="lorentz", c=2.99792458e8, seed=1, e=-100)
+def test_sample_sides_land_on_the_same_bits_at_every_power_of_two(kind, c, seed, e):
+    # each side is taken at _pow2's power, as every kernel takes its vectors: the sample
+    # times 2^e lands on the same bits, its power shifted by -e
+    s, _ = _sample_and_report(kind, c, seed)
+    scaled = _exactly_scaled(s, e, e)
+    assume(scaled is not None and _normal(scaled.x, scaled.y))
+    for (got, k_got), (want, k) in zip(scaled._units, s._units):
+        assert (got.tobytes(), k_got) == (want.tobytes(), k - e)
+
+
 # -- the one scale rule: every kernel at an exact power of two ------------------
 
 #: the four README speeds and two at which the balanced frame is far from the raw one
@@ -432,8 +447,8 @@ def _lorentz_at_c_1e150():
 @example(e=-100)
 @example(e=-500)
 def test_verify_at_c_1e150_unchanged_by_a_power_of_two(e):
-    # each side is taken at the power of two its c calls for: the window of k = 0 is
-    # centred on that power, so times 2^-100 no time square underflows in the fit
+    # each side is taken at the power of two its c calls for, so times 2^-100 no time
+    # square underflows in the fit
     s, want = _lorentz_at_c_1e150()
     scaled = _exactly_scaled(s, e, e)
     assume(scaled is not None and _normal(scaled.x, scaled.y))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lightcone import (
     BoostParams,
@@ -51,6 +53,25 @@ def test_light_clock_rejects_bad_scenarios():
         RadarScenario(v=0.5, c=1.0, delta_xbar=0.0)
     with pytest.raises(ValueError):
         RadarScenario(v=0.5, c=-1.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(beta=st.floats(-1.0, 1.0), c=st.floats(1e-160, 1e160),
+       delta_xbar=st.floats(0.0, allow_infinity=False), t0=st.floats(allow_nan=False, allow_infinity=False))
+@example(beta=0.6, c=1e100, delta_xbar=1.0, t0=1e300)  # x = v t0 overflows
+@example(beta=0.5, c=1.0, delta_xbar=1e308, t0=0.0)  # t1 = delta_xbar / (c - v) overflows
+def test_an_admitted_scenario_has_a_finite_record_or_is_refused(beta, c, delta_xbar, t0):
+    # every finite scenario the check admits is refused by the clock, or its record is finite
+    try:
+        sc = RadarScenario(v=beta * c, c=c, delta_xbar=delta_xbar, t0=t0)
+    except ValueError:
+        assume(False)
+    try:
+        tl = light_clock(sc)
+    except ValueError:
+        return
+    record = (tl.t0, tl.t1, tl.t2, tl.tprime0, tl.tprime1, tl.tprime2, *tl.x, *tl.xprime)
+    assert all(map(math.isfinite, record)), record
 
 
 def test_radar_shares_the_boost_velocity_margin():

@@ -622,10 +622,13 @@ def _small_cone_samples(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(s=_small_cone_samples(), block=st.sampled_from((1, 3, 64)),
-       tol=st.sampled_from((1e-9, 1e-3)))
+       tol=st.sampled_from((1e-9, 1e-3, 1e308)))
 # the image pair's squares underflow unless y is taken at its power of two
 @example(s=SampleSet(Metric(2, 1e-3), np.array([[0.0, 0.0], [1.0, 0.0]]),
                      np.array([[0.0, 2.2e-305], [2.2e-308, 2.2e-305]])), block=1, tol=1e-9)
+# a band of 1e308: 10 tol and tol |d|^2 overflow unless the check runs at min(tol, 1)
+@example(s=SampleSet(Metric(2, 1.0), np.array([[0.0, 0.0], [1.0, 1.0]]),
+                     np.array([[0.0, 0.0], [1.0, 0.0]])), block=1, tol=1e308)
 def test_cone_check_matches_pair_loop_property(s, block, tol):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recover, "_CONE_BLOCK", block)

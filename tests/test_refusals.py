@@ -70,6 +70,14 @@ a warning), and ``is_isometry[1e200]`` was True.  ``is_isometry[null-rank-1-2^70
 warned as its Gram overflowed; taken at its 2^k, that Gram is 0, and so is 2^2k, a
 factor no isometry has there.
 
+The ``null-labelled-*`` rows came when ``null_plane_through`` and the null-plane
+membership tests stopped reading a line's label: they decide by its direction, so a
+null line labelled SPACELIKE or TIMELIKE gives the null line's plane and answers (it
+was refused as "line is not null").  ``RadarScenario[t0=*]`` and the
+``light_clock`` rows came when a light clock's record had to be finite: a non-finite
+emission time, and a finite scenario whose times or positions overflow, printed
+``nan`` or ``inf`` rows.
+
 The Python float forms that replaced numpy calls on 3-vectors and a few
 ratios (``cones._cross``, ``boost._median``) must equal those calls bit
 for bit.
@@ -221,6 +229,14 @@ def _rows():
         rows[f"cones.{name}[zero]"] = (
             fn, (on_plane, dataclasses.replace(NULL_LINE, direction=np.zeros(3)), M3))
         rows[f"cones.{name}[tol]"] = (fn, (on_plane, NULL_LINE, M3, -1e-9))
+    # the direction decides, not the label: a null line labelled otherwise is the null line
+    for label in (CC.SPACELIKE, CC.TIMELIKE):
+        relabelled = dataclasses.replace(NULL_LINE, causal_class=label)
+        rows[f"cones.null_plane_through[null-labelled-{label.value}]"] = (
+            cones.null_plane_through, (relabelled, M3))
+        for name in ("on_null_plane_algebraic", "on_null_plane_by_characterization"):
+            rows[f"cones.{name}[null-labelled-{label.value}]"] = (
+                getattr(cones, name), (on_plane, relabelled, M3))
 
     for name in ("intersect_planes", "intersect_null_planes"):
         fn = getattr(cones, name)
@@ -329,6 +345,13 @@ def _rows():
         rows[f"radar.yzprime[v={v},c={c}]"] = (radar.yzprime, (1.0, v, c))
     for dx in (0.0, -1.0, math.nan, math.inf):
         rows[f"radar.RadarScenario[delta_xbar={dx}]"] = (radar.RadarScenario, (0.5, 1.0, dx))
+    for t0 in (math.nan, math.inf, -math.inf):
+        rows[f"radar.RadarScenario[t0={t0}]"] = (radar.RadarScenario, (0.5, 1.0, 1.0, t0))
+    # finite scenarios whose record overflows: x = v t0, and t1 = t0 + delta_xbar / (c - v)
+    rows["radar.light_clock[x-overflows]"] = (
+        radar.light_clock, (radar.RadarScenario(6e99, 1e100, 1.0, 1e300),))
+    rows["radar.light_clock[t-overflows]"] = (
+        radar.light_clock, (radar.RadarScenario(0.5, 1.0, 1e308),))
     identity = recover.SampleSet(M4, np.eye(5, 4), np.eye(5, 4))
     cubing = make_samples(GenerateConfig(kind="cubing", num_samples=34, seed=0))[0]
     rows["cones.transform_line[map-dims]"] = (cones.transform_line, (MAP3, Line(R4, S4, CC.SPACELIKE), M4))
@@ -383,6 +406,8 @@ C2_RANGE = ("raises", "ValueError", "invariant speed must have c^2 in the normal
             "[2.2250738585072014e-308, 1.7976931348623157e+308], got c = {}")
 V_IS_C = ('raises', 'ValueError', 'degenerate velocity: |v|=2.0 must be < c=2.0')
 FALSE = ('returns', 'False')
+TRUE = ('returns', 'True')
+RECORD_OVERFLOWS = ('raises', 'ValueError', "the light clock's record overflows the float range")
 ZERO_DIRECTION = ('raises', 'ValueError', 'line direction must be nonzero')
 NOT_NULL = ('raises', 'ValueError', 'line is not null')
 LONG_POINT = ('raises', 'ValueError',
@@ -633,6 +658,8 @@ EXPECTED = {
     'cones.null_plane_through[line-point-nan]': NON_FINITE,
     'cones.null_plane_through[line-point-shape]': SHAPE_4_NOT_3,
     'cones.null_plane_through[not-null-direction]': NOT_NULL,
+    'cones.null_plane_through[null-labelled-spacelike]': ('returns', None),
+    'cones.null_plane_through[null-labelled-timelike]': ('returns', None),
     'cones.null_plane_through[zero]': ZERO_DIRECTION,
     'cones.on_null_plane_algebraic[line-direction-+inf]': NON_FINITE,
     'cones.on_null_plane_algebraic[line-direction--inf]': NON_FINITE,
@@ -648,6 +675,8 @@ EXPECTED = {
     'cones.on_null_plane_algebraic[line-point-shape]': SHAPE_4_NOT_3,
     'cones.on_null_plane_algebraic[not-null]': NOT_NULL,
     'cones.on_null_plane_algebraic[not-null-direction]': NOT_NULL,
+    'cones.on_null_plane_algebraic[null-labelled-spacelike]': TRUE,
+    'cones.on_null_plane_algebraic[null-labelled-timelike]': TRUE,
     'cones.on_null_plane_algebraic[p-+inf]': NON_FINITE,
     'cones.on_null_plane_algebraic[p--inf]': NON_FINITE,
     'cones.on_null_plane_algebraic[p-nan]': NON_FINITE,
@@ -668,6 +697,8 @@ EXPECTED = {
     'cones.on_null_plane_by_characterization[line-point-shape]': SHAPE_4_NOT_3,
     'cones.on_null_plane_by_characterization[not-null]': NOT_NULL,
     'cones.on_null_plane_by_characterization[not-null-direction]': NOT_NULL,
+    'cones.on_null_plane_by_characterization[null-labelled-spacelike]': TRUE,
+    'cones.on_null_plane_by_characterization[null-labelled-timelike]': TRUE,
     'cones.on_null_plane_by_characterization[p-+inf]': NON_FINITE,
     'cones.on_null_plane_by_characterization[p--inf]': NON_FINITE,
     'cones.on_null_plane_by_characterization[p-nan]': NON_FINITE,
@@ -825,6 +856,12 @@ EXPECTED = {
         ('raises', 'ValueError', 'mirror separation must be positive, got inf'),
     'radar.RadarScenario[delta_xbar=nan]':
         ('raises', 'ValueError', 'mirror separation must be positive, got nan'),
+    'radar.RadarScenario[t0=-inf]':
+        ('raises', 'ValueError', 'emission time must be finite, got -inf'),
+    'radar.RadarScenario[t0=inf]':
+        ('raises', 'ValueError', 'emission time must be finite, got inf'),
+    'radar.RadarScenario[t0=nan]':
+        ('raises', 'ValueError', 'emission time must be finite, got nan'),
     'radar.RadarScenario[v=-2.0,c=2.0]': V_IS_C,
     'radar.RadarScenario[v=0.5,c=-1.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
@@ -857,6 +894,8 @@ EXPECTED = {
         ('raises', 'ValueError', 'degenerate velocity: |v|=inf must be < c=2.0'),
     'radar.derive_map[v=nan,c=2.0]':
         ('raises', 'ValueError', 'degenerate velocity: |v|=nan must be < c=2.0'),
+    'radar.light_clock[t-overflows]': RECORD_OVERFLOWS,
+    'radar.light_clock[x-overflows]': RECORD_OVERFLOWS,
     'radar.tprime[v=-2.0,c=2.0]': V_IS_C,
     'radar.tprime[v=0.5,c=-1.0]':
         ('raises', 'ValueError', 'invariant speed must be positive and finite, got -1.0'),
